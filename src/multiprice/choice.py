@@ -86,8 +86,7 @@ def optimize_assortment(model, a, pi, family="unconstrained"):
     family "unconstrained" uses prefix enumeration over products sorted by
     decreasing pi (only positive-value, choosable products can help);
     "one_price_per_item" enumerates one-option-per-item combinations and
-    needs model.product_items; "explicit" expects pi to be accompanied by
-    an iterable of candidate assortments via optimize_explicit instead.
+    needs model.product_items.
     Returns (assortment tuple, objective); the empty assortment scores 0.
     """
     model._check_type(a)

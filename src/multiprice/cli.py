@@ -7,9 +7,7 @@ hotel-sim.  Exit codes: 0 success, 2 validation error, 3 solver limit.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import sys
 import time
 
@@ -17,10 +15,9 @@ import numpy as np
 
 from . import harness
 from .adversary import analytic_bounds, build_instance
-from .engine import (ArrivalSequence, ForecastCurve, Item, Setup, run_balance,
-                     run_balance_assortment, run_bidprice, run_conservative,
-                     run_gnr, run_hybrid, run_myopic, run_ranking)
-from .errors import MultipriceError, SolverLimitError
+from .engine import POLICIES as _POLICIES
+from .engine import ArrivalSequence, ForecastCurve, Item, Setup, hotel_policies
+from .errors import MultipriceError, SolverLimitError, ValidationError
 from .lp import solve_primal
 from .perturb import (certified_lower_bounds, enumerate_seed_support,
                       single_unit_procedure, verify_conditions)
@@ -51,7 +48,7 @@ def cmd_valuefn(args):
         for s in range(args.grid + 1):
             w = s / args.grid
             rows.append({"w": w, "phi": vf.phi(w)})
-        _write_csv(rows, ["w", "phi"], args.out)
+        harness.write_csv(rows, ["w", "phi"], args.out)
         return EXIT_OK
     _emit({
         "prices": list(vf.priceset.prices),
@@ -82,16 +79,6 @@ def cmd_perturb_verify(args):
     return EXIT_OK
 
 
-_POLICIES = {
-    "balance": run_balance,
-    "ranking": run_ranking,
-    "myopic": run_myopic,
-    "conservative": run_conservative,
-    "gnr": run_gnr,
-    "balance_assortment": run_balance_assortment,
-}
-
-
 def _load_instance(raw):
     items = tuple(
         Item(k=int(it["k"]), priceset=PriceSet(it["prices"]))
@@ -101,7 +88,11 @@ def _load_instance(raw):
     arr = raw["arrivals"]
     kind = arr["kind"]
     if kind == "deterministic":
-        arrivals = ArrivalSequence(kind=kind, willing=np.asarray(arr["willing"], dtype=int))
+        try:
+            willing = np.asarray(arr["willing"])
+        except ValueError as exc:
+            raise ValidationError("willing: %s" % exc)
+        arrivals = ArrivalSequence(kind=kind, willing=willing)
     elif kind in ("single_offer", "fractional"):
         probs = tuple(tuple(tuple(p) for p in row) for row in arr["probs"])
         arrivals = ArrivalSequence(kind=kind, probs=probs)
@@ -141,8 +132,8 @@ def cmd_simulate(args):
                 "override_fraction": res.meta.get("override_fraction", ""),
                 "runtime_ms": round(ms, 3),
             })
-    _write_csv(rows, ["policy", "trial", "revenue", "ratio_vs_lp",
-                      "override_fraction", "runtime_ms"], args.out)
+    harness.write_csv(rows, ["policy", "trial", "revenue", "ratio_vs_lp",
+                             "override_fraction", "runtime_ms"], args.out)
     return EXIT_OK
 
 
@@ -177,36 +168,20 @@ def cmd_adversary(args):
     rows = [{"policy": "analytic_bound", "mean_ratio": bounds["ratio"]}]
     for name in policy_names:
         rows.append({"policy": name, "mean_ratio": sums[name] / len(seeds)})
-    _write_csv(rows, ["policy", "mean_ratio"], args.out)
+    harness.write_csv(rows, ["policy", "mean_ratio"], args.out)
     return EXIT_OK
 
 
 def cmd_hotel_sim(args):
-    fc_total = args.arrivals
-
-    def mk(fn, **kw):
-        return lambda setup, arr, seed: fn(setup, arr, rng_seed=seed, **kw)
-
-    curve = ForecastCurve(expected_total=fc_total)
-    policies = (
-        ("myopic", lambda s, a, r: run_myopic(s, a, r)),
-        ("gnr", lambda s, a, r: run_gnr(s, a, r)),
-        ("balance", lambda s, a, r: run_balance_assortment(s, a, r)),
-        ("bidprice_one_shot", mk(run_bidprice, mode="one_shot", forecast=curve)),
-        ("bidprice_resolving", mk(run_bidprice, mode="resolving", forecast=curve)),
-        ("bidprice_learning", mk(run_bidprice, mode="learning", forecast=curve)),
-        ("bidprice_clairvoyant", mk(run_bidprice, mode="clairvoyant", forecast=curve)),
-        ("hybrid_resolving", mk(run_hybrid, base="resolving", gamma=args.gamma,
-                                forecast=curve)),
-    )
+    curve = ForecastCurve(expected_total=args.arrivals)
     cfg = harness.ExperimentConfig(
         loading_factors=tuple(float(x) for x in args.loading_factors.split(",")),
         fare_diff=args.fare_diff,
         n_days=args.days,
-        mean_daily_arrivals=fc_total,
+        mean_daily_arrivals=args.arrivals,
         trials=args.trials or 10,
         base_seed=args.seed or 0,
-        policies=policies,
+        policies=hotel_policies(curve, args.gamma),
         workers=args.workers,
     )
     report = harness.run_experiment(cfg)
@@ -215,21 +190,6 @@ def cmd_hotel_sim(args):
     if args.runs_out:
         harness.write_runs_csv(report, args.runs_out)
     return EXIT_OK
-
-
-def _write_csv(rows, fieldnames, out):
-    def dump(fh):
-        fh.write(harness.CSV_SCHEMA_HEADER + "\n")
-        w = csv.DictWriter(fh, fieldnames=fieldnames)
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
-
-    if out:
-        with open(out, "w", newline="") as fh:
-            dump(fh)
-    else:
-        dump(sys.stdout)
 
 
 def build_parser():

@@ -8,18 +8,26 @@ forecast-independent value functions when the forecast looks too greedy.
 
 All policies consume a Setup (items with inventories and price sets) and an
 ArrivalSequence, and are deterministic given their seed.
+
+Every policy makes one step: offer each customer the (item, price), or the
+assortment, of best offer value, a bid per (item, price) combined with a
+state per item: balance and ranking subtract the marginal value phi(sold),
+the static-weight policies multiply by a discount psi(sold / k), bid-price
+policies subtract the item's dual.  Each arrival kind has one loop that
+makes this step, and one ledger books every sale.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .choice import choice_probs, optimize_assortment, sample_choice
-from .errors import DomainError, ValidationError
+from .errors import DomainError, MultipriceError, ValidationError
 from .perturb import build_perturbed
 from .valuefn import PriceSet, build_value_function
 
@@ -27,6 +35,8 @@ from .valuefn import PriceSet, build_value_function
 POSITIVITY_EPS = 1e-12
 
 PSI_DENOM = math.e - 1.0
+
+FORECAST_MODES = ("one_shot", "resolving", "learning", "clairvoyant")
 
 
 @lru_cache(maxsize=4096)
@@ -105,295 +115,305 @@ class RunResult:
     meta: dict = field(default_factory=dict)
 
 
-def _check_dims(setup, arrivals):
+def validate(setup, arrivals):
+    """Raise DomainError unless the arrivals fit the setup.  Every arrival
+    loop and the hindsight LP call this first, so malformed input never
+    ends in an index error deep inside a policy."""
     n = setup.n
+    ms = [it.priceset.m for it in setup.items]
     if arrivals.kind == "deterministic":
-        if np.asarray(arrivals.willing).shape[1] != n:
-            raise DomainError("arrival/setup dimension mismatch")
-    elif arrivals.kind in ("single_offer", "fractional"):
-        for row in arrivals.probs:
-            if len(row) != n:
-                raise DomainError("arrival/setup dimension mismatch")
+        willing = np.asarray(arrivals.willing)
+        if willing.ndim != 2 or willing.shape[1] != n or willing.dtype.kind not in "iu":
+            raise DomainError("willing must be a T x %d integer array" % n)
+        if np.any(willing < 0) or np.any(willing > np.array(ms)):
+            raise DomainError("willing index outside an item's price range")
     elif arrivals.kind == "assortment":
-        for i, _ in arrivals.products:
-            if not 0 <= i < n:
-                raise DomainError("product references unknown item")
+        for i, j in arrivals.products:
+            if not (0 <= i < n and 1 <= j <= ms[i]):
+                raise DomainError("product %r names an unknown item or price" % ((i, j),))
+        if any(not 0 <= a < arrivals.model.n_types for a in arrivals.types):
+            raise DomainError("customer type outside the model's types")
+    else:
+        for row in arrivals.probs:
+            if len(row) != n or any(len(r) != m for r, m in zip(row, ms)):
+                raise DomainError("probs row needs one probability per price of each item")
+            if not all(0.0 <= p <= 1.0 for r in row for p in r):
+                raise DomainError("probability outside [0, 1]")
 
 
-def _spawn_streams(setup, rng_seed):
-    """One independent stream per item plus one shared choice stream."""
-    root = np.random.SeedSequence(rng_seed)
-    children = root.spawn(setup.n + 1)
-    item_rngs = [np.random.default_rng(c) for c in children[: setup.n]]
-    choice_rng = np.random.default_rng(children[setup.n])
-    return item_rngs, choice_rng
+def _expect(arrivals, policy, *kinds):
+    if arrivals.kind not in kinds:
+        raise DomainError("%s takes %s arrivals, not %s"
+                          % (policy, " or ".join(kinds), arrivals.kind))
 
 
-def _init_item_state(setup, item_rngs, perturbed):
-    """Per item: bid values at the (rounded) borders and the grid of the
-    (perturbed) value function over sold counts."""
-    bid_rows = []  # bid value per price index, index 0 unused
+def _stream(rng_seed, i):
+    """Child i of the run's seed, numbered as by SeedSequence.spawn: item
+    i's stream, or for i = n the customers' choice stream."""
+    return np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i,)))
+
+
+class Ledger:
+    """Sale bookkeeping shared by every policy: units sold per item, revenue
+    and the sales log.  Selling a unit of an item that has none left is a
+    fault of the policy and raises MultipriceError."""
+
+    def __init__(self, setup):
+        self.items = setup.items
+        self.ks = [it.k for it in setup.items]
+        self.sold = [0] * setup.n
+        self.revenue = 0.0
+        self.log = []  # (t, item, price index, amount, offer value)
+
+    def is_open(self, i):
+        return self.sold[i] < self.ks[i]
+
+    def book(self, t, i, j, amount, z):
+        self.revenue += amount
+        self.log.append((t, i, j, amount, z))
+
+    def sell(self, t, i, j, z):
+        """Book one unit of item i at price index j; returns the price."""
+        if not self.is_open(i):
+            raise MultipriceError("item %d would sell more than its %d units"
+                                  % (i, self.ks[i]))
+        self.sold[i] += 1
+        price = self.items[i].priceset.price(j)
+        self.book(t, i, j, price, z)
+        return price
+
+    def remaining(self):
+        return [k - s for k, s in zip(self.ks, self.sold)]
+
+    def result(self, final_inventory=None, **extra):
+        if final_inventory is None:
+            final_inventory = self.remaining()
+        return RunResult(revenue=self.revenue, sales_log=self.log,
+                         final_inventory=final_inventory, **extra)
+
+
+class _Offer:
+    """Offer values: item i at price index j is worth combine(bid[i, j],
+    state[i]).  Columns are the items, or for ranking the units of item
+    col_item[c].  With levels, a column's state after s sales is
+    levels[c][s]; its last level, sold out, makes no offer on it worth it."""
+
+    def __init__(self, bid, combine, levels=None, col_item=None, state=None):
+        self.bid = bid
+        self.rows = bid.tolist()  # the same values, cheaper to read one by one
+        self.combine = combine
+        self.levels = levels
+        self.col_item = np.arange(len(bid)) if col_item is None else col_item
+        self.state = np.array([lv[0] for lv in levels]) if state is None else state
+        self.count = [0] * len(self.state)
+
+    def value(self, i, j):
+        return self.combine(self.rows[i][j], self.state[i])
+
+    def values(self, products, ledger):
+        """Offer value of each product, 0 once its item is sold out."""
+        rows, state, combine = self.rows, self.state.tolist(), self.combine
+        sold, ks = ledger.sold, ledger.ks
+        return [combine(rows[i][j], state[i]) if sold[i] < ks[i] else 0.0
+                for i, j in products]
+
+    def advance(self, c):
+        if self.levels is not None:
+            self.count[c] += 1
+            self.state[c] = self.levels[c][self.count[c]]
+
+    def refresh(self, t):
+        """Runs before arrival t; only bid prices change here."""
+
+
+def _price_bids(setup, high_only=False):
+    """Bid table of the prices, column 0 (no interest) and padding 0;
+    high_only keeps only each item's top price."""
+    bid = np.zeros((setup.n, max(it.priceset.m for it in setup.items) + 1))
+    for i, item in enumerate(setup.items):
+        prices = item.priceset.prices
+        lo = len(prices) if high_only else 1
+        bid[i, lo : len(prices) + 1] = prices[lo - 1 :]
+    return bid
+
+
+def _balance_offer(setup, rng_seed, perturbed):
+    """Balance values: the (perturbed) value function at the (rounded) price
+    border minus at the sold level.  Also returns each item's value grid
+    over sold counts 0..k."""
+    bid = _price_bids(setup)
     grids = []
-    vfs = []
-    for item, rng in zip(setup.items, item_rngs):
+    for i, item in enumerate(setup.items):
         vf = _vf_for(item.priceset.prices)
-        vfs.append(vf)
         if perturbed:
-            pvf = build_perturbed(vf, item.k, rng.random())
-            bids = [0.0] + [pvf.border_value(j) for j in range(1, vf.m + 1)]
-            grids.append(np.array(pvf.grid_values))
+            pvf = build_perturbed(vf, item.k, _stream(rng_seed, i).random())
+            bid[i, 1 : vf.m + 1] = [pvf.border_value(j) for j in range(1, vf.m + 1)]
+            grids.append(pvf.grid_values)
         else:
-            bids = [0.0] + [item.priceset.price(j) for j in range(1, vf.m + 1)]
-            grids.append(np.array([vf.phi(s / item.k) for s in range(item.k + 1)]))
-        bid_rows.append(bids)
-    return vfs, bid_rows, grids
+            grids.append([vf.phi(s / item.k) for s in range(item.k + 1)])
+    levels = [list(g[:-1]) + [np.inf] for g in grids]
+    return _Offer(bid, operator.sub, levels), grids
+
+
+def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
+    """One argmax per arrival: the customer buys from the first column of
+    largest offer value at their willingness price, since the offer value
+    rises with the price; bid 0 of an uninterested customer never wins."""
+    validate(setup, arrivals)
+    willing = np.asarray(arrivals.willing)
+    cols = offer.col_item
+    bid_per_t = offer.bid[cols[None, :], willing[:, cols]]
+    combine, state = offer.combine, offer.state
+    for t in range(len(willing)):
+        v = combine(bid_per_t[t], state)
+        c = int(np.argmax(v))
+        z = v[c]
+        if z <= POSITIVITY_EPS:
+            continue
+        i = int(cols[c])
+        j = int(willing[t, i])
+        price = ledger.sell(t, i, j, float(z))
+        if on_sale is not None:
+            on_sale(t, c, float(z), price)
+        offer.advance(c)
+    return ledger
+
+
+def _best_offer(row, value, items):
+    """(p * value, item, price index) of the first strict maximum over the
+    items in order, each item's prices from high to low; item -1 when no
+    offer is worth making."""
+    best = (POSITIVITY_EPS, -1, -1)
+    for i in items:
+        for j in range(len(row[i]), 0, -1):
+            p = row[i][j - 1]
+            if p > 0.0:
+                z = p * value(i, j)
+                if z > best[0]:
+                    best = (z, i, j)
+    return best
+
+
+def _single_offer_loop(setup, arrivals, rng_seed, offer, ledger, on_sale=None):
+    """Each customer is offered the best (item, price) and buys it with its
+    probability, drawn from the choice stream."""
+    validate(setup, arrivals)
+    rng = _stream(rng_seed, setup.n)
+    for t, row in enumerate(arrivals.probs):
+        z, i, j = _best_offer(row, offer.value, [i for i in range(setup.n) if ledger.is_open(i)])
+        if i >= 0 and rng.random() < row[i][j - 1]:
+            price = ledger.sell(t, i, j, float(z))
+            if on_sale is not None:
+                on_sale(t, i, float(z), price)
+            offer.advance(i)
+    return ledger
+
+
+def _fractional_loop(setup, arrivals, offer, ledger, vfs):
+    """Fluid balance: the best offer's probability mass is bought outright,
+    truncated to what the item has left; the item's offer state is its
+    value function at the new fraction sold."""
+    validate(setup, arrivals)
+    ks = ledger.ks
+    w = np.zeros(setup.n)
+    truncations = 0
+    for t, row in enumerate(arrivals.probs):
+        z, i, j = _best_offer(row, offer.value, [i for i in range(setup.n) if w[i] < 1.0 - 1e-15])
+        if i < 0:
+            continue
+        p = row[i][j - 1]
+        accept = min(p, (1.0 - w[i]) * ks[i])
+        if accept < p:
+            truncations += 1
+        w[i] = min(1.0, w[i] + accept / ks[i])
+        offer.state[i] = vfs[i].phi(w[i])
+        ledger.book(t, i, j, accept * setup.items[i].priceset.price(j), float(z))
+    return ledger.result(final_inventory=[k * (1.0 - wi) for k, wi in zip(ks, w)],
+                         meta={"truncations": truncations})
+
+
+def _assortment_loop(setup, arrivals, rng_seed, offer, ledger, choose=None):
+    """Offer each customer the assortment of largest expected offer value,
+    or what choose(t, a) returns as (assortment, offer value per product);
+    the customer picks by the MNL model from the choice stream."""
+    validate(setup, arrivals)
+    rng = _stream(rng_seed, setup.n)
+    model, products = arrivals.model, arrivals.products
+    for t, a in enumerate(arrivals.types):
+        offer.refresh(t)
+        if choose is None:
+            pi = offer.values(products, ledger)
+            s = optimize_assortment(model, a, pi)[0]
+        else:
+            s, pi = choose(t, a)
+        if not s:
+            continue
+        chosen = sample_choice(model, a, s, rng)
+        if chosen is None:
+            continue
+        i, j = products[chosen]
+        ledger.sell(t, i, j, pi[chosen])
+        offer.advance(i)
+    return ledger
+
+
+def _offer_loop(setup, arrivals, rng_seed, offer, on_sale=None):
+    """Run the loop of the arrivals' kind on one offer, with a new ledger."""
+    ledger = Ledger(setup)
+    if arrivals.kind == "deterministic":
+        return _deterministic_loop(setup, arrivals, offer, ledger, on_sale)
+    if arrivals.kind == "single_offer":
+        return _single_offer_loop(setup, arrivals, rng_seed, offer, ledger, on_sale)
+    return _assortment_loop(setup, arrivals, rng_seed, offer, ledger)
 
 
 def run_balance(setup, arrivals, rng_seed, perturbed=True, duals_trace=False):
     """Balance policy: offer the (item, price) with the largest expected
     pseudorevenue, where an item's unit is valued by its perturbed value
     function at the rounded price border minus at the current sold level."""
-    _check_dims(setup, arrivals)
-    if arrivals.kind not in ("deterministic", "single_offer"):
-        raise DomainError("balance expects deterministic or single_offer arrivals")
-    n = setup.n
-    item_rngs, choice_rng = _spawn_streams(setup, rng_seed)
-    _, bid_rows, grids = _init_item_state(setup, item_rngs, perturbed)
-    ks = np.array([it.k for it in setup.items])
-    sold = np.zeros(n, dtype=int)
-    cur_phi = np.array([g[0] for g in grids])
-    revenue = 0.0
-    log = []
+    _expect(arrivals, "balance", "deterministic", "single_offer")
+    offer, grids = _balance_offer(setup, rng_seed, perturbed)
     trace = [] if duals_trace else None
 
-    if arrivals.kind == "deterministic":
-        willing = np.asarray(arrivals.willing, dtype=int)
-        m_max = max(it.priceset.m for it in setup.items)
-        bid_mat = np.full((n, m_max + 1), -np.inf)
-        bid_mat[:, 0] = 0.0
-        for i, bids in enumerate(bid_rows):
-            bid_mat[i, 1 : len(bids)] = bids[1:]
-        row_idx = np.arange(n)
-        # the bid value is nondecreasing in the price index, so the best
-        # price for each item is the customer's willingness index; look all
-        # of them up once.  cost folds in stock-outs (+inf when exhausted);
-        # an uninterested customer indexes bid 0, giving z <= 0, so no
-        # extra mask is needed for jt == 0.
-        bid_per_t = bid_mat[row_idx[None, :], willing]
-        cost = cur_phi.copy()
-        for t in range(arrivals.T):
-            jt = willing[t]
-            z = bid_per_t[t] - cost
-            i_star = int(np.argmax(z))
-            z_star = z[i_star]
-            if z_star <= POSITIVITY_EPS:
-                continue
-            j_star = int(jt[i_star])
-            price = setup.items[i_star].priceset.price(j_star)
-            if duals_trace:
-                delta = ks[i_star] * (
-                    grids[i_star][sold[i_star] + 1] - grids[i_star][sold[i_star]]
-                )
-                trace.append((t, i_star, float(delta), float(z_star), price))
-            sold[i_star] += 1
-            cur_phi[i_star] = grids[i_star][sold[i_star]]
-            cost[i_star] = np.inf if sold[i_star] >= ks[i_star] else cur_phi[i_star]
-            revenue += price
-            log.append((t, i_star, j_star, price, float(z_star)))
-    else:
-        for t, row in enumerate(arrivals.probs):
-            best = (POSITIVITY_EPS, -1, -1)
-            for i in range(n):
-                if sold[i] >= ks[i]:
-                    continue
-                bids = bid_rows[i]
-                for j in range(len(row[i]), 0, -1):
-                    p = row[i][j - 1]
-                    if p <= 0.0:
-                        continue
-                    z = p * (bids[j] - cur_phi[i])
-                    if z > best[0]:
-                        best = (z, i, j)
-            z_star, i_star, j_star = best
-            if i_star < 0:
-                continue
-            p = row[i_star][j_star - 1]
-            if choice_rng.random() < p:
-                price = setup.items[i_star].priceset.price(j_star)
-                if duals_trace:
-                    delta = ks[i_star] * (
-                        grids[i_star][sold[i_star] + 1] - grids[i_star][sold[i_star]]
-                    )
-                    trace.append((t, i_star, float(delta), float(z_star), price))
-                sold[i_star] += 1
-                cur_phi[i_star] = grids[i_star][sold[i_star]]
-                revenue += price
-                log.append((t, i_star, j_star, price, float(z_star)))
+    def record(t, i, z, price):
+        s = offer.count[i]
+        delta = setup.items[i].k * (grids[i][s + 1] - grids[i][s])
+        trace.append((t, i, float(delta), z, price))
 
-    assert np.all(sold <= ks)
-    return RunResult(
-        revenue=revenue,
-        sales_log=log,
-        final_inventory=list(ks - sold),
-        duals_trace=trace,
-    )
+    on_sale = record if duals_trace else None
+    return _offer_loop(setup, arrivals, rng_seed, offer, on_sale).result(duals_trace=trace)
 
 
 def run_ranking(setup, arrivals, rng_seed, check_assignments=False):
     """Ranking policy: items are split into single units, each unit gets a
     fixed uniform seed W, and every customer is assigned the available unit
     maximizing her willingness price minus the unit's value Phi(W)."""
-    _check_dims(setup, arrivals)
-    if arrivals.kind != "deterministic":
-        raise DomainError("ranking expects deterministic arrivals")
-    item_rngs, _ = _spawn_streams(setup, rng_seed)
+    _expect(arrivals, "ranking", "deterministic")
     vfs = [_vf_for(it.priceset.prices) for it in setup.items]
-
-    unit_item = []
-    unit_w = []
-    for i, (item, rng) in enumerate(zip(setup.items, item_rngs)):
-        for w in rng.random(item.k):
-            unit_item.append(i)
-            unit_w.append(w)
-    unit_item = np.array(unit_item, dtype=int)
-    unit_w = np.array(unit_w)
-    unit_phi = np.array([vfs[i].phi(w) for i, w in zip(unit_item, unit_w)])
-
-    willing = np.asarray(arrivals.willing, dtype=int)
-    n = setup.n
-    m_max = max(it.priceset.m for it in setup.items)
-    price_mat = np.zeros((n, m_max + 1))
+    unit_item, unit_w = [], []
     for i, item in enumerate(setup.items):
-        for j in range(1, item.priceset.m + 1):
-            price_mat[i, j] = item.priceset.price(j)
+        unit_item += [i] * item.k
+        unit_w.extend(_stream(rng_seed, i).random(item.k))
+    levels = [[vfs[i].phi(w), np.inf] for i, w in zip(unit_item, unit_w)]
+    offer = _Offer(_price_bids(setup), operator.sub, levels, np.array(unit_item, dtype=int))
 
-    available = np.ones(len(unit_item), dtype=bool)
-    # cost folds in matched units (+inf); price 0 for uninterested
-    # customers makes their value nonpositive without an explicit mask
-    cost = unit_phi.copy()
-    revenue = 0.0
-    log = []
-    price_per_t = price_mat[unit_item[None, :], willing[:, unit_item]]
-    for t in range(arrivals.T):
-        jt = willing[t]
-        val = price_per_t[t] - cost
-        u_star = int(np.argmax(val))
-        z = val[u_star]
-        if z <= POSITIVITY_EPS:
-            continue
-        i_star = int(unit_item[u_star])
-        j_star = int(jt[i_star])
-        price = price_mat[i_star, j_star]
-        if check_assignments:
-            vf = vfs[i_star]
-            lhs = (1.0 - math.exp(-vf.alphas[0])) * (vf.phi_prime(unit_w[u_star]) + z)
-            assert lhs <= price + 1e-9, "assignment bound violated"
-        available[u_star] = False
-        cost[u_star] = np.inf
-        revenue += price
-        log.append((t, i_star, j_star, price, float(z)))
+    def check(t, u, z, price):
+        vf = vfs[unit_item[u]]
+        lhs = (1.0 - math.exp(-vf.alphas[0])) * (vf.phi_prime(unit_w[u]) + z)
+        if lhs > price + 1e-9:
+            raise MultipriceError("assignment bound violated at arrival %d" % t)
 
-    final = [int(np.sum(available[unit_item == i])) for i in range(n)]
-    return RunResult(revenue=revenue, sales_log=log, final_inventory=final)
+    on_sale = check if check_assignments else None
+    return _deterministic_loop(setup, arrivals, offer, Ledger(setup), on_sale).result()
 
 
 def _run_static_weight(setup, arrivals, rng_seed, discount, high_only=False):
     """Shared runner for policies whose offer value is the price times a
     discount that depends only on the item's sold fraction."""
-    _check_dims(setup, arrivals)
-    if arrivals.kind == "fractional":
-        raise DomainError("fractional arrivals not supported here")
-    n = setup.n
-    _, choice_rng = _spawn_streams(setup, rng_seed)
-    ks = np.array([it.k for it in setup.items])
-    sold = np.zeros(n, dtype=int)
-    revenue = 0.0
-    log = []
-
-    def offer_value(i, j):
-        return setup.items[i].priceset.price(j) * discount(sold[i] / ks[i])
-
-    if arrivals.kind == "deterministic":
-        # the offer value is increasing in the price for a fixed item, so
-        # the best price per item is the customer's willingness index
-        willing = np.asarray(arrivals.willing, dtype=int)
-        m_max = max(it.priceset.m for it in setup.items)
-        m_vec = np.array([it.priceset.m for it in setup.items])
-        price_mat = np.zeros((n, m_max + 1))
-        for i, item in enumerate(setup.items):
-            for j in range(1, item.priceset.m + 1):
-                price_mat[i, j] = item.priceset.price(j)
-        row_idx = np.arange(n)
-        # disc is zeroed when an item stocks out; a price of 0 at jt = 0
-        # already keeps uninterested customers out of the argmax
-        disc = np.full(n, discount(0.0))
-        price_per_t = price_mat[row_idx[None, :], willing]
-        if high_only:
-            price_per_t = price_per_t * (willing == m_vec[None, :])
-        for t in range(arrivals.T):
-            jt = willing[t]
-            v = price_per_t[t] * disc
-            i_star = int(np.argmax(v))
-            if v[i_star] <= POSITIVITY_EPS:
-                continue
-            j_star = int(jt[i_star])
-            price = price_mat[i_star, j_star]
-            sold[i_star] += 1
-            disc[i_star] = (
-                0.0 if sold[i_star] >= ks[i_star]
-                else discount(sold[i_star] / ks[i_star])
-            )
-            revenue += price
-            log.append((t, i_star, j_star, price, float(v[i_star])))
-    elif arrivals.kind == "single_offer":
-        for t, row in enumerate(arrivals.probs):
-            best = (POSITIVITY_EPS, -1, -1)
-            for i in range(n):
-                if sold[i] >= ks[i]:
-                    continue
-                m_i = setup.items[i].priceset.m
-                js = [m_i] if high_only else range(m_i, 0, -1)
-                for j in js:
-                    p = row[i][j - 1]
-                    if p <= 0.0:
-                        continue
-                    v = p * offer_value(i, j)
-                    if v > best[0]:
-                        best = (v, i, j)
-            _, i_star, j_star = best
-            if i_star < 0:
-                continue
-            p = row[i_star][j_star - 1]
-            if choice_rng.random() < p:
-                price = setup.items[i_star].priceset.price(j_star)
-                sold[i_star] += 1
-                revenue += price
-                log.append((t, i_star, j_star, price, best[0]))
-    else:  # assortment
-        model = arrivals.model
-        products = arrivals.products
-        for t, a in enumerate(arrivals.types):
-            pi = []
-            for p_idx, (i, j) in enumerate(products):
-                if sold[i] >= ks[i] or (high_only and j != setup.items[i].priceset.m):
-                    pi.append(0.0)
-                else:
-                    pi.append(offer_value(i, j))
-            s, _ = optimize_assortment(model, a, pi)
-            if not s:
-                continue
-            chosen = sample_choice(model, a, s, choice_rng)
-            if chosen is None:
-                continue
-            i_star, j_star = products[chosen]
-            price = setup.items[i_star].priceset.price(j_star)
-            sold[i_star] += 1
-            revenue += price
-            log.append((t, i_star, j_star, price, pi[chosen]))
-
-    return RunResult(
-        revenue=revenue, sales_log=log, final_inventory=list(ks - sold)
-    )
+    _expect(arrivals, "static-weight policy", "deterministic", "single_offer", "assortment")
+    levels = [[discount(s / it.k) for s in range(it.k)] + [0.0] for it in setup.items]
+    offer = _Offer(_price_bids(setup, high_only), operator.mul, levels)
+    return _offer_loop(setup, arrivals, rng_seed, offer).result()
 
 
 def run_myopic(setup, arrivals, rng_seed):
@@ -414,88 +434,18 @@ def run_conservative(setup, arrivals, rng_seed):
 def run_balance_fractional(setup, arrivals, rng_seed):
     """Balance in the fluid regime: deterministic value functions, bids pay
     and consume fractionally, bids overshooting capacity are truncated."""
-    _check_dims(setup, arrivals)
-    if arrivals.kind != "fractional":
-        raise DomainError("expected fractional arrivals")
-    n = setup.n
+    _expect(arrivals, "balance_fractional", "fractional")
     vfs = [_vf_for(it.priceset.prices) for it in setup.items]
-    ks = [it.k for it in setup.items]
-    w = np.zeros(n)
-    revenue = 0.0
-    log = []
-    truncations = 0
-    for t, row in enumerate(arrivals.probs):
-        best = (POSITIVITY_EPS, -1, -1)
-        for i in range(n):
-            if w[i] >= 1.0 - 1e-15:
-                continue
-            phi_w = vfs[i].phi(w[i])
-            for j in range(len(row[i]), 0, -1):
-                p = row[i][j - 1]
-                if p <= 0.0:
-                    continue
-                z = p * (setup.items[i].priceset.price(j) - phi_w)
-                if z > best[0]:
-                    best = (z, i, j)
-        z_star, i_star, j_star = best
-        if i_star < 0:
-            continue
-        p = row[i_star][j_star - 1]
-        accept = min(p, (1.0 - w[i_star]) * ks[i_star])
-        if accept < p:
-            truncations += 1
-        price = setup.items[i_star].priceset.price(j_star)
-        w[i_star] = min(1.0, w[i_star] + accept / ks[i_star])
-        revenue += accept * price
-        log.append((t, i_star, j_star, accept * price, float(z_star)))
-    final = [k * (1.0 - wi) for k, wi in zip(ks, w)]
-    return RunResult(
-        revenue=revenue,
-        sales_log=log,
-        final_inventory=final,
-        meta={"truncations": truncations},
-    )
+    offer = _Offer(_price_bids(setup), operator.sub, state=np.array([vf.phi(0.0) for vf in vfs]))
+    return _fractional_loop(setup, arrivals, offer, Ledger(setup), vfs)
 
 
-def run_balance_assortment(setup, arrivals, rng_seed, family="unconstrained",
-                           perturbed=True):
+def run_balance_assortment(setup, arrivals, rng_seed, perturbed=True):
     """Balance over assortment arrivals: offer the assortment maximizing
     expected pseudorevenue under the perturbed value functions."""
-    _check_dims(setup, arrivals)
-    if arrivals.kind != "assortment":
-        raise DomainError("expected assortment arrivals")
-    n = setup.n
-    item_rngs, choice_rng = _spawn_streams(setup, rng_seed)
-    _, bid_rows, grids = _init_item_state(setup, item_rngs, perturbed)
-    ks = [it.k for it in setup.items]
-    sold = [0] * n
-    model = arrivals.model
-    products = arrivals.products
-    revenue = 0.0
-    log = []
-    for t, a in enumerate(arrivals.types):
-        pi = []
-        for i, j in products:
-            if sold[i] >= ks[i]:
-                pi.append(0.0)
-            else:
-                pi.append(bid_rows[i][j] - grids[i][sold[i]])
-        s, _ = optimize_assortment(model, a, pi, family=family)
-        if not s:
-            continue
-        chosen = sample_choice(model, a, s, choice_rng)
-        if chosen is None:
-            continue
-        i_star, j_star = products[chosen]
-        price = setup.items[i_star].priceset.price(j_star)
-        sold[i_star] += 1
-        revenue += price
-        log.append((t, i_star, j_star, price, pi[chosen]))
-    return RunResult(
-        revenue=revenue,
-        sales_log=log,
-        final_inventory=[k - s for k, s in zip(ks, sold)],
-    )
+    _expect(arrivals, "balance_assortment", "assortment")
+    offer, _ = _balance_offer(setup, rng_seed, perturbed)
+    return _offer_loop(setup, arrivals, rng_seed, offer).result()
 
 
 @dataclass(frozen=True)
@@ -520,14 +470,18 @@ class ForecastCurve:
         return 1.0
 
 
+def count_types(model, types):
+    """Customers per type of the model, as floats."""
+    counts = [0.0] * model.n_types
+    for a in types:
+        counts[a] += 1.0
+    return counts
+
+
 def _forecast_counts(mode, model, arrivals, t, forecast):
     """Remaining customers per type under the given forecasting mode."""
-    A = model.n_types
     if mode == "clairvoyant":
-        counts = [0.0] * A
-        for a in arrivals.types[t:]:
-            counts[a] += 1.0
-        return counts
+        return count_types(model, arrivals.types[t:])
     if forecast is None:
         raise DomainError("forecasting mode %r needs a ForecastCurve" % (mode,))
     if t == 0 or arrivals.days_out is None:
@@ -539,13 +493,39 @@ def _forecast_counts(mode, model, arrivals, t, forecast):
         else:
             remaining = max(t / frac - t, 0.0)
     if mode == "learning" and t > 0:
-        seen = [0.0] * A
-        for a in arrivals.types[:t]:
-            seen[a] += 1.0
-        shares = [s / t for s in seen]
+        shares = [s / t for s in count_types(model, arrivals.types[:t])]
     else:
         shares = list(model.type_shares)
     return [remaining * s for s in shares]
+
+
+class _BidPriceOffer(_Offer):
+    """Fare minus the item's bid price, its dual in the choice LP over the
+    forecast remaining demand and the remaining inventory, solved at t = 0
+    and, unless the mode is one_shot, every resolve_every arrivals."""
+
+    def __init__(self, setup, arrivals, ledger, mode, resolve_every, forecast):
+        from .lp import ColumnPool
+
+        if mode not in FORECAST_MODES:
+            raise DomainError("unknown mode %r" % (mode,))
+        super().__init__(_price_bids(setup), operator.sub, state=np.zeros(setup.n))
+        self.mode, self.every = mode, resolve_every
+        self.context = (setup, arrivals, ledger, forecast)
+        self.pool = ColumnPool()
+        self.solves = 0
+
+    def refresh(self, t):
+        if t and (self.mode == "one_shot" or t % self.every):
+            return
+        from .lp import solve_choice_lp
+
+        setup, arrivals, ledger, forecast = self.context
+        counts = _forecast_counts(self.mode, arrivals.model, arrivals, t, forecast)
+        sol = solve_choice_lp(setup, [max(c, 0.0) for c in counts], arrivals.model,
+                              arrivals.products, capacities=ledger.remaining(), pool=self.pool)
+        self.state[:] = sol.duals_items
+        self.solves += 1
 
 
 def run_bidprice(setup, arrivals, mode="resolving", resolve_every=100,
@@ -558,58 +538,11 @@ def run_bidprice(setup, arrivals, mode="resolving", resolve_every=100,
     (booking-curve forecast, aggregate type shares), learning (empirical
     type shares), clairvoyant (true remaining counts).
     """
-    from .lp import ColumnPool, solve_choice_lp
-
-    pool = ColumnPool()
-
-    _check_dims(setup, arrivals)
-    if arrivals.kind != "assortment":
-        raise DomainError("expected assortment arrivals")
-    if mode not in ("one_shot", "resolving", "learning", "clairvoyant"):
-        raise DomainError("unknown mode %r" % (mode,))
-    n = setup.n
-    _, choice_rng = _spawn_streams(setup, rng_seed)
-    ks = [it.k for it in setup.items]
-    sold = [0] * n
-    model = arrivals.model
-    products = arrivals.products
-    fares = [setup.items[i].priceset.price(j) for i, j in products]
-    revenue = 0.0
-    log = []
-    y = [0.0] * n
-    lp_solves = 0
-    for t, a in enumerate(arrivals.types):
-        if t == 0 or (mode != "one_shot" and t % resolve_every == 0):
-            counts = _forecast_counts(mode, model, arrivals, t, forecast)
-            counts = [max(c, 0.0) for c in counts]
-            caps = [k - s for k, s in zip(ks, sold)]
-            sol = solve_choice_lp(
-                setup, counts, model, products, capacities=caps, pool=pool
-            )
-            y = sol.duals_items
-            lp_solves += 1
-        pi = []
-        for p_idx, (i, j) in enumerate(products):
-            if sold[i] >= ks[i]:
-                pi.append(0.0)
-            else:
-                pi.append(fares[p_idx] - y[i])
-        s, _ = optimize_assortment(model, a, pi)
-        if not s:
-            continue
-        chosen = sample_choice(model, a, s, choice_rng)
-        if chosen is None:
-            continue
-        i_star, j_star = products[chosen]
-        sold[i_star] += 1
-        revenue += fares[chosen]
-        log.append((t, i_star, j_star, fares[chosen], pi[chosen]))
-    return RunResult(
-        revenue=revenue,
-        sales_log=log,
-        final_inventory=[k - s for k, s in zip(ks, sold)],
-        meta={"lp_solves": lp_solves},
-    )
+    _expect(arrivals, "bidprice", "assortment")
+    ledger = Ledger(setup)
+    offer = _BidPriceOffer(setup, arrivals, ledger, mode, resolve_every, forecast)
+    _assortment_loop(setup, arrivals, rng_seed, offer, ledger)
+    return ledger.result(meta={"lp_solves": offer.solves})
 
 
 def run_hybrid(setup, arrivals, base="resolving", gamma=1.5, resolve_every=100,
@@ -617,72 +550,67 @@ def run_hybrid(setup, arrivals, base="resolving", gamma=1.5, resolve_every=100,
     """Follow the forecast assortment unless its pseudorevenue (under the
     deterministic value functions) falls below 1/gamma of the best
     achievable, in which case offer the pseudorevenue maximizer instead."""
-    from .lp import ColumnPool, solve_choice_lp
-
-    pool = ColumnPool()
-
-    _check_dims(setup, arrivals)
-    if arrivals.kind != "assortment":
-        raise DomainError("expected assortment arrivals")
+    _expect(arrivals, "hybrid", "assortment")
     if gamma <= 1.0:
         raise DomainError("gamma must exceed 1")
-    n = setup.n
-    _, choice_rng = _spawn_streams(setup, rng_seed)
-    vfs = [_vf_for(it.priceset.prices) for it in setup.items]
-    ks = [it.k for it in setup.items]
-    sold = [0] * n
-    model = arrivals.model
-    products = arrivals.products
-    fares = [setup.items[i].priceset.price(j) for i, j in products]
-    revenue = 0.0
-    log = []
-    y = [0.0] * n
+    ledger = Ledger(setup)
+    forecast_offer = _BidPriceOffer(setup, arrivals, ledger, base, resolve_every, forecast)
+    balance_offer, _ = _balance_offer(setup, rng_seed, perturbed=False)
+    model, products = arrivals.model, arrivals.products
     overrides = 0
-    offers = 0
-    for t, a in enumerate(arrivals.types):
-        if t == 0 or (base != "one_shot" and t % resolve_every == 0):
-            counts = _forecast_counts(base, model, arrivals, t, forecast)
-            counts = [max(c, 0.0) for c in counts]
-            caps = [k - s for k, s in zip(ks, sold)]
-            sol = solve_choice_lp(
-                setup, counts, model, products, capacities=caps, pool=pool
-            )
-            y = sol.duals_items
-        pi_fcst = []
-        pi_bal = []
-        for p_idx, (i, j) in enumerate(products):
-            if sold[i] >= ks[i]:
-                pi_fcst.append(0.0)
-                pi_bal.append(0.0)
-            else:
-                pi_fcst.append(fares[p_idx] - y[i])
-                pi_bal.append(
-                    setup.items[i].priceset.price(j) - vfs[i].phi(sold[i] / ks[i])
-                )
-        s_fcst, _ = optimize_assortment(model, a, pi_fcst)
+
+    def choose(t, a):
+        nonlocal overrides
+        forecast_offer.refresh(t)
+        pi_bal = balance_offer.values(products, ledger)
+        s_fcst, _ = optimize_assortment(model, a, forecast_offer.values(products, ledger))
         s_bal, v_max = optimize_assortment(model, a, pi_bal)
-        v_fcst = sum(
-            prob * pi_bal[p]
-            for p, prob in choice_probs(model, a, s_fcst)[0].items()
-        )
+        v_fcst = sum(prob * pi_bal[p] for p, prob in choice_probs(model, a, s_fcst)[0].items())
         if v_fcst + POSITIVITY_EPS >= v_max / gamma:
-            s = s_fcst
-        else:
-            s = s_bal
-            overrides += 1
-        offers += 1
-        if not s:
-            continue
-        chosen = sample_choice(model, a, s, choice_rng)
-        if chosen is None:
-            continue
-        i_star, j_star = products[chosen]
-        sold[i_star] += 1
-        revenue += fares[chosen]
-        log.append((t, i_star, j_star, fares[chosen], pi_bal[chosen]))
-    return RunResult(
-        revenue=revenue,
-        sales_log=log,
-        final_inventory=[k - s for k, s in zip(ks, sold)],
-        meta={"override_fraction": overrides / offers if offers else 0.0},
+            return s_fcst, pi_bal
+        overrides += 1
+        return s_bal, pi_bal
+
+    _assortment_loop(setup, arrivals, rng_seed, balance_offer, ledger, choose)
+    T = arrivals.T
+    return ledger.result(meta={"override_fraction": overrides / T if T else 0.0})
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """A policy of the harness and the CLI: engine.run_<runner> called with
+    fixed keyword arguments.  It holds the runner's name, not the function,
+    so it is hashable and pickles, and a suite can go to worker processes."""
+
+    runner: str
+    kwargs: tuple = ()  # sorted (name, value) pairs
+
+    @classmethod
+    def of(cls, runner, **kwargs):
+        return cls(runner, tuple(sorted(kwargs.items())))
+
+    def __call__(self, setup, arrivals, rng_seed):
+        run = globals()["run_" + self.runner]
+        return run(setup, arrivals, rng_seed=rng_seed, **dict(self.kwargs))
+
+
+# the policy registry: every policy the CLI runs by name
+POLICIES = {
+    name: PolicySpec(name)
+    for name in ("balance", "ranking", "myopic", "conservative", "gnr", "balance_assortment")
+}
+
+
+def hotel_policies(forecast, gamma):
+    """The hotel simulation's suite as (name, PolicySpec) pairs: myopic, gnr,
+    balance over assortments, a bid-price policy per forecasting mode and the
+    hybrid over the resolving forecast."""
+    return (
+        ("myopic", POLICIES["myopic"]),
+        ("gnr", POLICIES["gnr"]),
+        ("balance", POLICIES["balance_assortment"]),
+        *(("bidprice_" + mode, PolicySpec.of("bidprice", mode=mode, forecast=forecast))
+          for mode in FORECAST_MODES),
+        ("hybrid_resolving",
+         PolicySpec.of("hybrid", base="resolving", gamma=gamma, forecast=forecast)),
     )

@@ -1,20 +1,22 @@
 """Instance generation and experiment orchestration.
 
-Builds synthetic hotel-like ensembles (or ingests transaction CSVs) and
-runs the policy suite over them with common random numbers, reporting each
-policy's revenue as a fraction of the hindsight choice-LP bound.
+Builds synthetic hotel-like ensembles and runs the policy suite over them
+with common random numbers, reporting each policy's revenue as a fraction
+of the hindsight choice-LP bound.  Also parses transaction CSVs into
+arrival sequences.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .choice import default_hotel_model
-from .engine import ArrivalSequence, ForecastCurve, Item, Setup
+from .engine import ArrivalSequence, ForecastCurve, Item, Setup, count_types
 from .errors import ValidationError
 from .lp import solve_choice_lp
 from .valuefn import PriceSet
@@ -37,9 +39,9 @@ _REQUIRED_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What to run: instance source, policy suite, trials, seeding, output."""
+    """What to run: the synthetic hotel ensembles, policy suite, trials and
+    seeding."""
 
-    source: str = "synthetic_hotel"  # synthetic_hotel | adversary | csv
     loading_factors: tuple = (1.4, 1.6, 1.8)
     fare_diff: bool = False
     n_days: int = 35
@@ -47,7 +49,6 @@ class ExperimentConfig:
     trials: int = 10
     base_seed: int = 0
     policies: tuple = ()  # (name, callable(setup, arrivals, rng_seed)) pairs
-    out_path: str = None
     week_profile: tuple = DEFAULT_WEEK_PROFILE
     booking_curve_knots: tuple = ((35.0, 0.0), (25.0, 0.5), (0.0, 1.0))
     workers: int = 1
@@ -213,9 +214,7 @@ def ingest_transactions(path_or_file, replicate=1, fare_diff=False):
 
 def lp_bound(setup, arrivals):
     """Hindsight choice-LP bound with the true type counts."""
-    counts = [0.0] * arrivals.model.n_types
-    for a in arrivals.types:
-        counts[a] += 1.0
+    counts = count_types(arrivals.model, arrivals.types)
     sol = solve_choice_lp(setup, counts, arrivals.model, arrivals.products)
     return sol.objective
 
@@ -283,30 +282,25 @@ def run_experiment(config, loading_factors=None):
     return {"runs": runs, "summary": summary}
 
 
+def write_csv(rows, fieldnames, out=None):
+    """Rows under the schema header, to the file out or else to stdout;
+    keys outside fieldnames are left out."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(CSV_SCHEMA_HEADER + "\n")
+        w = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+
+
 def write_summary_csv(report, path):
     """Per-(policy, loading factor) aggregate table."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_SCHEMA_HEADER + "\n")
-        w = csv.DictWriter(
-            fh, fieldnames=["loading_factor", "policy", "mean_ratio",
-                            "stdev_ratio", "n_runs"]
-        )
-        w.writeheader()
-        for row in report["summary"]:
-            w.writerow(row)
+    write_csv(report["summary"],
+              ["loading_factor", "policy", "mean_ratio", "stdev_ratio", "n_runs"], path)
 
 
 def write_runs_csv(report, path):
     """Per-run ratio rows (one line per policy/day/trial)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_SCHEMA_HEADER + "\n")
-        w = csv.DictWriter(
-            fh, fieldnames=["loading_factor", "day", "trial", "policy",
-                            "revenue", "lp_bound", "ratio"]
-        )
-        w.writeheader()
-        for row in sorted(
-            report["runs"],
-            key=lambda r: (r["loading_factor"], r["policy"], r["day"], r["trial"]),
-        ):
-            w.writerow({k: row[k] for k in w.fieldnames})
+    rows = sorted(report["runs"],
+                  key=lambda r: (r["loading_factor"], r["policy"], r["day"], r["trial"]))
+    write_csv(rows, ["loading_factor", "day", "trial", "policy", "revenue",
+                     "lp_bound", "ratio"], path)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .choice import optimize_assortment
+from .engine import validate
 from .errors import DomainError, SolverLimitError
 
 PIVOT_TOL = 1e-9
@@ -96,11 +97,13 @@ def simplex_max(c, A, b, max_iter=None):
 
 
 def solve_primal(setup, arrivals):
-    """Hindsight assignment LP: fractional units of item i at price j may be
-    granted to customer t up to probability mass, subject to inventory and
-    one unit per customer.  Deterministic and single-offer arrivals only."""
+    """Hindsight assignment LP: x[t, i, j] is the chance that customer t is
+    offered item i at price j, accepted with probability p; at most
+    one offer per customer, expected sales within inventory.  Deterministic
+    (p = 1) and single-offer arrivals only."""
     if arrivals.kind not in ("deterministic", "single_offer"):
         raise DomainError("solve_primal expects deterministic or single_offer arrivals")
+    validate(setup, arrivals)
     n = setup.n
     T_len = arrivals.T
 
@@ -129,9 +132,11 @@ def solve_primal(setup, arrivals):
     if nv * 2 > MAX_NONZEROS:
         raise SolverLimitError("primal LP too large (%d variables)" % nv)
     A = np.zeros((n + T_len, nv))
+    # expected units sold count against inventory; the offers made to one
+    # customer, accepted or not, are at most one in total
     for v, ((t, i, j), p) in enumerate(zip(var_keys, var_p)):
         A[i, v] = p
-        A[n + t, v] = p
+        A[n + t, v] = 1.0
     b = np.array([it.k for it in setup.items] + [1.0] * T_len, dtype=float)
     c = np.array(var_p) * np.array(var_r)
 
@@ -222,12 +227,13 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None,
             obj, x, duals = simplex_max(c_vec, A_mat, b)
             y = duals[:n]
             z = duals[n:]
+        # pricing: each type's best assortment under fare - y; a type with
+        # no customers prices at 0 and adds nothing
+        pi = [fares[p] - y[products[p][0]] for p in range(len(products))]
+        priced = [optimize_assortment(model, a, pi, family=family) if type_counts[a] > 0
+                  else ((), 0.0) for a in range(A_types)]
         added = False
-        for a in range(A_types):
-            if type_counts[a] <= 0:
-                continue
-            pi = [fares[p] - y[products[p][0]] for p in range(len(products))]
-            s, v = optimize_assortment(model, a, pi, family=family)
+        for a, (s, v) in enumerate(priced):
             if v > z[a] + tol and s:
                 added = add_col(a, s) or added
         if not added:
@@ -235,20 +241,8 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None,
             break
     else:
         # iteration guard: report the duality-gap bound instead of looping
-        best_bound = obj + sum(
-            max(
-                optimize_assortment(
-                    model,
-                    a,
-                    [fares[p] - y[products[p][0]] for p in range(len(products))],
-                    family=family,
-                )[1]
-                - z[a],
-                0.0,
-            )
-            * type_counts[a]
-            for a in range(A_types)
-        )
+        best_bound = obj + sum(max(v - z[a], 0.0) * type_counts[a]
+                               for a, (_, v) in enumerate(priced))
         gap = best_bound - obj
 
     primal = {
@@ -261,8 +255,3 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None,
         duals_arrivals=list(z),
         meta={"columns": len(cols), "gap": gap},
     )
-
-
-def bid_prices(sol):
-    """Item duals of an optimal solution (nonnegative)."""
-    return [max(v, 0.0) for v in sol.duals_items]

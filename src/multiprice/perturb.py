@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 from .valuefn import PriceSet, ValueFunction, build_value_function
@@ -47,9 +47,6 @@ class PerturbedValueFunction:
         if abs(q * self.k - idx) > 1e-9 or not 0 <= idx <= self.k:
             raise DomainError("q=%r is not a grid point of 1/%d" % (q, self.k))
         return self.grid_values[idx]
-
-    def value_at_count(self, n_sold):
-        return self.grid_values[n_sold]
 
     def border_value(self, j):
         """Value at the rounded border of price level j."""

@@ -26,11 +26,8 @@ from multiprice import (
     enumerate_seed_support,
     optimize_assortment,
     run_balance,
-    run_balance_assortment,
-    run_bidprice,
     run_conservative,
     run_gnr,
-    run_hybrid,
     run_myopic,
     run_ranking,
     single_unit_procedure,
@@ -39,7 +36,7 @@ from multiprice import (
     two_price_F,
     verify_conditions,
 )
-from multiprice.engine import ForecastCurve
+from multiprice.engine import POLICIES, ForecastCurve, hotel_policies
 from multiprice.harness import ExperimentConfig, run_experiment
 
 from test_choice import brute_force, random_model
@@ -318,17 +315,15 @@ def test_criterion_10_two_phase_example():
 def test_criterion_11_hotel_shape():
     t0 = time.perf_counter()
     curve_total = 260.0
-    curve = ForecastCurve(expected_total=curve_total)
-
-    def mk(fn, **kw):
-        return lambda s, a, r: fn(s, a, rng_seed=r, **kw)
-
-    fcst_policies = (
-        ("one_shot", mk(run_bidprice, mode="one_shot", forecast=curve)),
-        ("resolving", mk(run_bidprice, mode="resolving", forecast=curve)),
-        ("learning", mk(run_bidprice, mode="learning", forecast=curve)),
-        ("clairvoyant", mk(run_bidprice, mode="clairvoyant", forecast=curve)),
-        ("hybrid", mk(run_hybrid, base="resolving", gamma=1.5, forecast=curve)),
+    suite = dict(hotel_policies(ForecastCurve(expected_total=curve_total), gamma=1.5))
+    fcst_policies = tuple(
+        (name, suite[key]) for name, key in (
+            ("one_shot", "bidprice_one_shot"),
+            ("resolving", "bidprice_resolving"),
+            ("learning", "bidprice_learning"),
+            ("clairvoyant", "bidprice_clairvoyant"),
+            ("hybrid", "hybrid_resolving"),
+        )
     )
     cfg = ExperimentConfig(
         loading_factors=(1.4, 1.6, 1.8),
@@ -375,10 +370,7 @@ def test_criterion_11_hotel_shape():
         mean_daily_arrivals=curve_total,
         trials=10,
         base_seed=0,
-        policies=(
-            ("balance", lambda s, a, r: run_balance_assortment(s, a, r)),
-            ("gnr", run_gnr),
-        ),
+        policies=(("balance", POLICIES["balance_assortment"]), ("gnr", POLICIES["gnr"])),
     )
     fd = run_experiment(fd_cfg)
     bal_mean = float(np.mean(agg(fd, "balance")))

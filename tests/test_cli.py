@@ -138,6 +138,22 @@ class TestSimulateAndLpBound:
         assert "solver limit" in err
 
 
+class TestMalformedInstance:
+    @pytest.mark.parametrize("command", ["simulate", "lp-bound"])
+    @pytest.mark.parametrize("willing", [[[3]], [1, 2]])
+    def test_exit_2_without_traceback(self, tmp_path, capsys, command, willing):
+        # [[3]]: price index above the item's two prices; [1, 2]: 1-D
+        raw = {"setup": {"items": [{"k": 1, "prices": [1.0, 3.0]}]},
+               "arrivals": {"kind": "deterministic", "willing": willing}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        flag = "--config" if command == "simulate" else "--instance"
+        code, _, err = run_cli(capsys, command, flag, str(path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestAdversary:
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(capsys, "--trials", "3", "--seed", "1",
@@ -178,3 +194,15 @@ class TestHotelSim:
         for r in rows:
             assert 0.0 <= float(r["mean_ratio"]) <= 1.0 + 1e-9
         assert runs_path.exists()
+
+    def test_workers_match_single_process(self, tmp_path, capsys):
+        runs = {}
+        for workers in ("1", "2"):
+            runs[workers] = tmp_path / ("runs%s.csv" % workers)
+            code, _, _ = run_cli(
+                capsys, "--trials", "1", "--out", str(tmp_path / "summary.csv"),
+                "hotel-sim", "--days", "1", "--workers", workers,
+                "--runs-out", str(runs[workers]),
+            )
+            assert code == EXIT_OK
+        assert runs["2"].read_bytes() == runs["1"].read_bytes()

@@ -2,6 +2,7 @@
 safety, the dual-trail certificate, and the forecasting/hybrid variants."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from multiprice import (
     ArrivalSequence,
     DomainError,
     ForecastCurve,
+    MultipriceError,
     Item,
     MnlModel,
     PriceSet,
@@ -27,7 +29,7 @@ from multiprice import (
     run_myopic,
     run_ranking,
 )
-from multiprice.engine import psi
+from multiprice.engine import POLICIES, Ledger, PolicySpec, hotel_policies, psi, validate
 
 from test_lp import random_instance, small_choice_setting
 
@@ -82,6 +84,87 @@ class TestBasics:
             run_bidprice(setup, det([[1]]))
         with pytest.raises(DomainError):
             run_hybrid(setup, det([[1]]))
+
+
+class TestValidate:
+    setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0, 3.0])),
+                         Item(k=2, priceset=PriceSet([2.0]))))
+
+    @pytest.mark.parametrize("willing", [
+        [1, 1],                       # 1-D
+        [[1, 1, 1]],                  # three items, not two
+        np.array([[1.0, 1.0]]),       # not integers
+        [[3, 1]],                     # price index above item 0's m = 2
+        [[1, 2]],                     # price index above item 1's m = 1
+        [[-1, 0]],                    # negative index
+    ])
+    def test_bad_willing(self, willing):
+        arrivals = ArrivalSequence(kind="deterministic", willing=np.asarray(willing))
+        with pytest.raises(DomainError):
+            validate(self.setup, arrivals)
+        with pytest.raises(DomainError):
+            run_myopic(self.setup, arrivals, 0)
+
+    @pytest.mark.parametrize("kind", ["single_offer", "fractional"])
+    @pytest.mark.parametrize("row", [
+        ((0.5, 0.5),),                # one item's entry missing
+        ((0.5,), (0.5,)),             # item 0 needs two prices
+        ((0.5, 0.5), (0.5, 0.5)),     # item 1 has one price
+        ((0.5, 1.5), (0.5,)),         # probability above 1
+        ((0.5, -0.1), (0.5,)),        # probability below 0
+    ])
+    def test_bad_probs(self, kind, row):
+        with pytest.raises(DomainError):
+            validate(self.setup, ArrivalSequence(kind=kind, probs=(row,)))
+
+    def test_good_arrivals_pass(self):
+        validate(self.setup, det([[2, 1], [0, 0]]))
+        validate(self.setup, ArrivalSequence(kind="single_offer",
+                                             probs=(((0.0, 1.0), (0.3,)),)))
+
+    def test_bad_assortment(self):
+        setup, products, model = small_choice_setting()
+        validate(setup, assortment_arrivals(model, products, [0, 1]))
+        with pytest.raises(DomainError):
+            validate(setup, assortment_arrivals(model, products, [0, 2]))
+        for bad in (((0, 1), (2, 1)), ((0, 1), (0, 3)), ((0, 0), (1, 1))):
+            with pytest.raises(DomainError):
+                validate(setup, assortment_arrivals(model, bad, [0]))
+        with pytest.raises(DomainError):
+            run_balance_assortment(setup, assortment_arrivals(model, products, [5]), 0)
+
+
+class TestLedger:
+    def test_never_sells_more_than_k(self):
+        ledger = Ledger(Setup(items=(Item(k=1, priceset=PriceSet([4.0])),)))
+        assert ledger.sell(0, 0, 1, 1.0) == 4.0
+        with pytest.raises(MultipriceError) as info:
+            ledger.sell(1, 0, 1, 1.0)
+        assert not isinstance(info.value, ValidationError)
+        res = ledger.result()
+        assert (res.revenue, res.final_inventory) == (4.0, [0])
+
+
+class TestPolicyRegistry:
+    def suite(self):
+        return hotel_policies(ForecastCurve(expected_total=30.0), gamma=2.0)
+
+    def test_specs_hash_and_pickle(self):
+        specs = list(POLICIES.values()) + [spec for _, spec in self.suite()]
+        for spec in specs:
+            assert isinstance(spec, PolicySpec)
+            copy = pickle.loads(pickle.dumps(spec))
+            assert copy == spec and hash(copy) == hash(spec)
+        assert len(set(specs)) == len(specs) - 3  # myopic, gnr, balance reused
+
+    def test_spec_calls_its_runner(self):
+        setup, products, model = small_choice_setting()
+        arrivals = assortment_arrivals(model, products, [0, 1, 1, 0, 1] * 4)
+        suite = dict(self.suite())
+        direct = run_hybrid(setup, arrivals, base="resolving", gamma=2.0,
+                            forecast=ForecastCurve(expected_total=30.0), rng_seed=9)
+        assert suite["hybrid_resolving"](setup, arrivals, 9) == direct
+        assert POLICIES["gnr"](setup, arrivals, 9) == run_gnr(setup, arrivals, 9)
 
 
 class TestTinyInstances:

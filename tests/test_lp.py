@@ -16,7 +16,6 @@ from multiprice import (
     Setup,
     SolverLimitError,
     assortment_value,
-    bid_prices,
     run_balance,
     run_gnr,
     run_myopic,
@@ -165,6 +164,13 @@ class TestPrimalLp:
         sem = float(np.std(revs)) / math.sqrt(len(revs))
         assert mean <= bound + 3 * sem
 
+    def test_single_offer_one_offer_per_customer(self):
+        # one unit at price 1 and one customer who accepts with p = 0.5: no
+        # policy earns more than 0.5 in expectation, and neither does the LP
+        setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),))
+        arrivals = ArrivalSequence(kind="single_offer", probs=(((0.5,),),))
+        assert solve_primal(setup, arrivals).objective == pytest.approx(0.5, abs=1e-12)
+
     def test_rejects_fractional(self):
         setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),))
         arr = ArrivalSequence(kind="fractional", probs=(((0.5,),),))
@@ -225,14 +231,14 @@ class TestChoiceLp:
     def test_bid_prices_nonnegative(self):
         setup, products, model = small_choice_setting()
         sol = solve_choice_lp(setup, [20.0, 20.0], model, products)
-        assert all(y >= 0.0 for y in bid_prices(sol))
+        assert all(y >= 0.0 for y in sol.duals_items)
         # scarce inventory at high demand must price at least one item
-        assert max(bid_prices(sol)) > 0.0
+        assert max(sol.duals_items) > 0.0
 
     def test_slack_capacity_free(self):
         setup, products, model = small_choice_setting()
         sol = solve_choice_lp(setup, [0.5, 0.5], model, products)
-        assert bid_prices(sol) == pytest.approx([0.0, 0.0], abs=1e-9)
+        assert sol.duals_items == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_pool_reuse_identical_result(self):
         setup, products, model = small_choice_setting()
