@@ -9,6 +9,7 @@ on demand by the single-shot assortment oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,11 +55,12 @@ def simplex_max(c, A, b, max_iter=None):
     T[:m, -1] = b
     T[m, :nv] = -c
     basis = list(range(nv, nv + m))
+    # views into T, kept across pivots; one ratio buffer
+    costs, rhs, ratios = T[m, :-1], T[:m, -1], np.empty(m)
 
     for it in range(max_iter):
-        costs = T[m, :-1]
         if it < bland_after:
-            e = int(np.argmin(costs))
+            e = int(costs.argmin())
             if costs[e] >= -PIVOT_TOL:
                 break
         else:
@@ -66,24 +68,26 @@ def simplex_max(c, A, b, max_iter=None):
             if len(neg) == 0:
                 break
             e = int(neg[0])
-        col = T[:m, e]
-        pos = col > PIVOT_TOL
-        if not np.any(pos):
+        col = T[:, e]
+        pos = col[:m] > PIVOT_TOL
+        if not pos.any():
             raise SolverLimitError("unbounded LP")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        rmin = ratios.min()
-        cand = np.flatnonzero(ratios <= rmin + 1e-12)
+        ratios.fill(np.inf)
+        np.divide(rhs, col[:m], out=ratios, where=pos)
+        ties = ratios <= ratios.min() + 1e-12
         if it >= bland_after:
             # Bland: leave the row whose basic variable has lowest index
+            cand = np.flatnonzero(ties)
             leave = int(min(cand, key=lambda r: basis[r]))
         else:
-            leave = int(cand[0])
+            leave = int(ties.argmax())
         piv = T[leave, e]
         T[leave] /= piv
-        for r in range(m + 1):
-            if r != leave and abs(T[r, e]) > 1e-14:
-                T[r] -= T[r, e] * T[leave]
+        # eliminate the pivot column only from the rows where it is nonzero
+        row = T[leave]
+        for r in (np.abs(col) > 1e-14).nonzero()[0].tolist():
+            if r != leave:
+                T[r] -= col[r] * row
         basis[leave] = e
     else:
         raise SolverLimitError("simplex iteration limit reached")
@@ -184,18 +188,53 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None,
     lossless because the empty assortment consumes and earns nothing).
     The pricing subproblem is the single-shot assortment oracle with
     adjusted values fare - y_i.  Returns bid prices y_i as item duals.
+
+    A solve from a fresh pool (None or empty) is a pure function of the
+    other arguments and is memoized on them (8 entries); the pool, if
+    given, receives the columns that solve generated, in order.
     """
+    caps = tuple(it.k for it in setup.items) if capacities is None else tuple(capacities)
+    key = None
+    if pool is None or not pool.cols:
+        key = (setup, tuple(type_counts), model, tuple(products), caps, family, tol, max_columns)
+        try:
+            hash(key)
+        except TypeError:
+            key = None
+    if key is None:
+        return _column_generation(setup, type_counts, model, products, caps,
+                                  family, tol, max_columns, pool or ColumnPool())
+    sol, cols = _fresh_solve(*key)
+    if pool is not None:
+        pool.cols.extend(cols)
+        pool.seen.update((a, s) for a, s, _, _ in cols)
+    return LpSolution(sol.objective, dict(sol.primal), list(sol.duals_items),
+                      list(sol.duals_arrivals), dict(sol.meta))
+
+
+@lru_cache(maxsize=8)
+def _fresh_solve(setup, type_counts, model, products, capacities, family, tol, max_columns):
+    """The solution from an empty pool and the columns it generated, which
+    are shared with every later caller's pool and so made read-only."""
+    pool = ColumnPool()
+    sol = _column_generation(setup, type_counts, model, products, capacities,
+                             family, tol, max_columns, pool)
+    for _, _, col, _ in pool.cols:
+        col.flags.writeable = False
+    return sol, tuple(pool.cols)
+
+
+def _column_generation(setup, type_counts, model, products, capacities, family,
+                       tol, max_columns, pool):
     n = setup.n
     A_types = model.n_types
     if len(type_counts) != A_types:
         raise DomainError("type_counts length mismatch")
     if any(cnt < 0 for cnt in type_counts):
         raise DomainError("negative type count")
-    caps = [it.k for it in setup.items] if capacities is None else list(capacities)
+    if max_columns < 1:
+        raise DomainError("max_columns must be at least 1")
     fares = [setup.items[i].priceset.price(j) for i, j in products]
-
-    if pool is None:
-        pool = ColumnPool()
     cols = pool.cols
     seen = pool.seen
 
@@ -214,12 +253,11 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None,
         if s:
             add_col(a, s)
 
-    b = np.array([float(c) for c in caps] + [float(cnt) for cnt in type_counts])
+    b = np.array([float(c) for c in capacities] + [float(cnt) for cnt in type_counts])
     y = np.zeros(n)
     z = np.zeros(A_types)
     obj = 0.0
     x = np.zeros(0)
-    gap = None
     for _ in range(max_columns):
         if cols:
             A_mat = np.column_stack([col for _, _, col, _ in cols])
@@ -237,13 +275,12 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None,
             if v > z[a] + tol and s:
                 added = add_col(a, s) or added
         if not added:
-            gap = 0.0
             break
-    else:
-        # iteration guard: report the duality-gap bound instead of looping
-        best_bound = obj + sum(max(v - z[a], 0.0) * type_counts[a]
-                               for a, (_, v) in enumerate(priced))
-        gap = best_bound - obj
+    # stalled on pooled columns or at the iteration guard: the objective is
+    # within sum_a max(v_a - z_a, 0) * count_a of the LP optimum
+    gap = 0.0
+    if any(v > z[a] + tol for a, (_, v) in enumerate(priced)):
+        gap = sum(max(v - z[a], 0.0) * type_counts[a] for a, (_, v) in enumerate(priced))
 
     primal = {
         (cols[v][0], cols[v][1]): x[v] for v in range(len(cols)) if len(x) and x[v] > 1e-12

@@ -6,7 +6,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from multiprice import lp
 from multiprice import (
     ArrivalSequence,
     DomainError,
@@ -116,6 +119,108 @@ class TestSimplex:
             assert np.dot(duals, b) == pytest.approx(obj, abs=1e-7)
 
 
+def reference_simplex_max(c, A, b, max_iter=None):
+    """The simplex_max that checked and updated every tableau row in turn,
+    kept verbatim as the reference for bit-identical output."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, nv = A.shape
+    if np.any(b < -lp.PIVOT_TOL):
+        raise DomainError("simplex_max requires b >= 0")
+    b = np.maximum(b, 0.0)
+    if max_iter is None:
+        max_iter = 50 * (m + nv) + 1000
+    bland_after = max_iter // 2
+
+    # tableau: [A | I | b] with objective row [-c | 0 | 0] on top of it
+    T = np.zeros((m + 1, nv + m + 1))
+    T[:m, :nv] = A
+    T[:m, nv : nv + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :nv] = -c
+    basis = list(range(nv, nv + m))
+
+    for it in range(max_iter):
+        costs = T[m, :-1]
+        if it < bland_after:
+            e = int(np.argmin(costs))
+            if costs[e] >= -lp.PIVOT_TOL:
+                break
+        else:
+            neg = np.flatnonzero(costs < -lp.PIVOT_TOL)
+            if len(neg) == 0:
+                break
+            e = int(neg[0])
+        col = T[:m, e]
+        pos = col > lp.PIVOT_TOL
+        if not np.any(pos):
+            raise SolverLimitError("unbounded LP")
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, -1][pos] / col[pos]
+        rmin = ratios.min()
+        cand = np.flatnonzero(ratios <= rmin + 1e-12)
+        if it >= bland_after:
+            # Bland: leave the row whose basic variable has lowest index
+            leave = int(min(cand, key=lambda r: basis[r]))
+        else:
+            leave = int(cand[0])
+        piv = T[leave, e]
+        T[leave] /= piv
+        for r in range(m + 1):
+            if r != leave and abs(T[r, e]) > 1e-14:
+                T[r] -= T[r, e] * T[leave]
+        basis[leave] = e
+    else:
+        raise SolverLimitError("simplex iteration limit reached")
+
+    x = np.zeros(nv)
+    for r, v in enumerate(basis):
+        if v < nv:
+            x[v] = T[r, -1]
+    duals = T[m, nv : nv + m].copy()
+    return float(T[m, -1]), x, duals
+
+
+def simplex_outcome(fn, c, A, b, max_iter):
+    """(objective, x, duals) as hex strings, or the solver-limit message."""
+    try:
+        obj, x, duals = fn(c, A, b, max_iter)
+    except SolverLimitError as exc:
+        return ("SolverLimitError", str(exc))
+    return (obj.hex(), [float(v).hex() for v in x], [float(v).hex() for v in duals])
+
+
+# integer entries over mostly zero right-hand sides make degenerate ties
+# likely, under both pivot rules; 1e-13 sits between the elimination's zero
+# threshold and PIVOT_TOL
+_TIED = (st.sampled_from([-1.0, 0.0, 1.0, 1.0, 2.0, 1e-13]),
+         st.sampled_from([0.0, 0.0, 1.0]), st.sampled_from([0.0, 1.0, 2.0, 3.0]))
+_SPREAD = (st.floats(-4.0, 4.0), st.floats(0.0, 5.0), st.floats(-3.0, 5.0))
+
+
+@st.composite
+def small_lps(draw):
+    coef, rhs, cost = draw(st.sampled_from([_TIED, _SPREAD]))
+    m, nv = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = [draw(st.lists(coef, min_size=nv, max_size=nv)) for _ in range(m)]
+    if draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = [0.0] * nv
+    b = draw(st.lists(rhs, min_size=m, max_size=m))
+    c = draw(st.lists(cost, min_size=nv, max_size=nv))
+    # a small iteration limit reaches the Bland branch and the limit error
+    max_iter = draw(st.none() | st.integers(0, 12))
+    return c, A, b, max_iter
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_lps())
+# a tie that Bland's rule breaks towards the later row
+@example(([2.0, 2.0], [[-1.0, 0.0], [0.0, 2.0], [2.0, 1.0]], [0.0, 0.0, 0.0], 3))
+def test_simplex_bit_identical_to_reference(lp_args):
+    assert simplex_outcome(simplex_max, *lp_args) == simplex_outcome(reference_simplex_max, *lp_args)
+
+
 class TestPrimalLp:
     def test_matches_exhaustive(self):
         rng = np.random.default_rng(59)
@@ -170,6 +275,39 @@ class TestPrimalLp:
         setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),))
         arrivals = ArrivalSequence(kind="single_offer", probs=(((0.5,),),))
         assert solve_primal(setup, arrivals).objective == pytest.approx(0.5, abs=1e-12)
+
+    def test_single_offer_equals_singleton_choice_lp(self):
+        # the choice LP restricted to singleton assortments: offering (i, j)
+        # to customer t sells p units of i for p * r_ij, and each customer
+        # is shown at most one assortment in total
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            n, T = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            items = tuple(
+                Item(k=int(rng.integers(1, 3)),
+                     priceset=PriceSet(sorted(rng.uniform(1, 50, size=int(rng.integers(1, 4))))))
+                for _ in range(n)
+            )
+            setup = Setup(items=items)
+            probs = tuple(
+                tuple(tuple(float(p) if rng.random() < 0.7 else 0.0
+                            for p in rng.uniform(0, 1, size=it.priceset.m)) for it in items)
+                for _ in range(T)
+            )
+            cols, revs = [], []
+            for t in range(T):
+                for i, it in enumerate(items):
+                    for j, p in enumerate(probs[t][i], start=1):
+                        col = np.zeros(n + T)
+                        col[i] = p
+                        col[n + t] = 1.0
+                        cols.append(col)
+                        revs.append(p * it.priceset.price(j))
+            b = [float(it.k) for it in items] + [1.0] * T
+            ref = linprog(-np.array(revs), A_ub=np.column_stack(cols), b_ub=b, method="highs")
+            sol = solve_primal(setup, ArrivalSequence(kind="single_offer", probs=probs))
+            assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
 
     def test_rejects_fractional(self):
         setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),))
@@ -263,9 +401,106 @@ class TestChoiceLp:
             solve_choice_lp(setup, [1.0], model, products)
         with pytest.raises(DomainError):
             solve_choice_lp(setup, [-1.0, 2.0], model, products)
+        with pytest.raises(DomainError):
+            solve_choice_lp(setup, [1.0, 1.0], model, products, max_columns=0)
 
     def test_objective_monotone_in_counts(self):
         setup, products, model = small_choice_setting()
         lo = solve_choice_lp(setup, [1.0, 1.0], model, products).objective
         hi = solve_choice_lp(setup, [3.0, 3.0], model, products).objective
         assert hi >= lo - 1e-9
+
+
+@pytest.fixture
+def empty_memo():
+    """An empty choice-LP memo before and after the test."""
+    lp._fresh_solve.cache_clear()
+    yield lp._fresh_solve
+    lp._fresh_solve.cache_clear()
+
+
+def solution_digest(sol):
+    return (
+        sol.objective.hex(),
+        sorted((key, float(v).hex()) for key, v in sol.primal.items()),
+        [float(v).hex() for v in sol.duals_items],
+        [float(v).hex() for v in sol.duals_arrivals],
+        sorted(sol.meta.items()),
+    )
+
+
+def pool_keys(pool):
+    return [(a, s) for a, s, _, _ in pool.cols]
+
+
+class TestChoiceLpMemo:
+    def test_hit_equals_miss(self, empty_memo):
+        setup, products, model = small_choice_setting()
+        miss = solve_choice_lp(setup, [4.0, 4.0], model, products)
+        hit = solve_choice_lp(setup, [4.0, 4.0], model, products)
+        assert empty_memo.cache_info().hits == 1
+        assert solution_digest(hit) == solution_digest(miss)
+
+    def test_mutating_a_solution_leaves_the_memo_intact(self, empty_memo):
+        setup, products, model = small_choice_setting()
+        first = solve_choice_lp(setup, [10.0, 2.0], model, products)
+        digest = solution_digest(first)
+        first.primal.clear()
+        first.duals_items[0] = 99.0
+        first.duals_arrivals.append(1.0)
+        first.meta["gap"] = 5.0
+        again = solve_choice_lp(setup, [10.0, 2.0], model, products)
+        assert empty_memo.cache_info().hits == 1
+        assert solution_digest(again) == digest
+
+    def test_hit_fills_the_pool_like_a_miss(self, empty_memo):
+        setup, products, model = small_choice_setting()
+        missed, hit = ColumnPool(), ColumnPool()
+        solve_choice_lp(setup, [4.0, 4.0], model, products, pool=missed)
+        solve_choice_lp(setup, [4.0, 4.0], model, products, pool=hit)
+        assert empty_memo.cache_info().hits == 1
+        assert pool_keys(hit) == pool_keys(missed)
+        assert hit.seen == missed.seen
+        # the next re-solve from either pool is the same
+        tight = [solve_choice_lp(setup, [4.0, 4.0], model, products, capacities=[1, 1],
+                                 pool=pool) for pool in (missed, hit)]
+        assert solution_digest(tight[0]) == solution_digest(tight[1])
+
+    def test_default_capacities_share_an_entry(self, empty_memo):
+        setup, products, model = small_choice_setting()
+        solve_choice_lp(setup, [8.0, 8.0], model, products)
+        solve_choice_lp(setup, [8.0, 8.0], model, products, capacities=[3, 2])
+        info = empty_memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_nonempty_pool_bypasses_the_memo(self, empty_memo):
+        setup, products, model = small_choice_setting()
+        pool = ColumnPool()
+        solve_choice_lp(setup, [4.0, 4.0], model, products, pool=pool)
+        before = empty_memo.cache_info()
+        solve_choice_lp(setup, [4.0, 4.0], model, products, pool=pool)
+        assert empty_memo.cache_info() == before
+
+    def test_bad_counts_raise_every_time(self, empty_memo):
+        setup, products, model = small_choice_setting()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                solve_choice_lp(setup, [1.0], model, products)
+            with pytest.raises(DomainError):
+                solve_choice_lp(setup, [-1.0, 2.0], model, products)
+        assert empty_memo.cache_info().currsize == 0
+
+    def test_stalled_pricing_reports_the_gap(self, empty_memo, monkeypatch):
+        # pricing keeps re-offering a pooled assortment at an inflated value:
+        # column generation stalls, and the gap bounds what it left out
+        real = lp.optimize_assortment
+
+        def inflated(*args, **kwargs):
+            s, v = real(*args, **kwargs)
+            return s, v + 100.0
+
+        monkeypatch.setattr(lp, "optimize_assortment", inflated)
+        setup, products, model = small_choice_setting()
+        sol = solve_choice_lp(setup, [4.0, 2.0], model, products)
+        assert sol.meta["gap"] > 0.0
+        assert sol.meta["gap"] == pytest.approx(100.0 * 6.0, abs=1e-5)
