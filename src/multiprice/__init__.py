@@ -14,11 +14,8 @@ from .choice import (
     assortment_value,
     choice_probs,
     default_hotel_model,
-    load_model,
     optimize_assortment,
-    optimize_explicit,
     sample_choice,
-    sample_type,
 )
 from .engine import (
     ArrivalSequence,
@@ -68,76 +65,10 @@ from .valuefn import (
     ValueFunction,
     build_continuum,
     build_value_function,
-    canonicalize_prices,
     lambert_w,
     solve_alphas,
     solve_sigmas,
     two_price_F,
 )
-
-__all__ = [
-    "AdversarialInstance",
-    "analytic_bounds",
-    "build_instance",
-    "solve_betas",
-    "NEVER",
-    "HotelCatalog",
-    "MnlModel",
-    "assortment_value",
-    "choice_probs",
-    "default_hotel_model",
-    "load_model",
-    "optimize_assortment",
-    "optimize_explicit",
-    "sample_choice",
-    "sample_type",
-    "ArrivalSequence",
-    "ForecastCurve",
-    "Item",
-    "RunResult",
-    "Setup",
-    "run_balance",
-    "run_balance_assortment",
-    "run_balance_fractional",
-    "run_bidprice",
-    "run_conservative",
-    "run_gnr",
-    "run_hybrid",
-    "run_myopic",
-    "run_ranking",
-    "DomainError",
-    "InvalidPriceSet",
-    "InvalidRange",
-    "MultipriceError",
-    "SolverLimitError",
-    "ValidationError",
-    "ExperimentConfig",
-    "generate_hotel_ensemble",
-    "ingest_transactions",
-    "lp_bound",
-    "run_experiment",
-    "LpSolution",
-    "simplex_max",
-    "solve_choice_lp",
-    "solve_primal",
-    "PerturbedValueFunction",
-    "RandomizedProcedure",
-    "build_perturbed",
-    "certified_lower_bounds",
-    "enumerate_seed_support",
-    "round_borders",
-    "single_unit_procedure",
-    "verify_conditions",
-    "ContinuumValueFunction",
-    "PriceSet",
-    "ValueFunction",
-    "build_continuum",
-    "build_value_function",
-    "canonicalize_prices",
-    "lambert_w",
-    "solve_alphas",
-    "solve_sigmas",
-    "two_price_F",
-]
 
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ class MnlModel:
     type_shares: tuple
     u0: tuple
     utilities: tuple  # tuple per type, aligned with product indices
-    type_labels: tuple = ()
     product_items: tuple = ()  # optional item index per product
 
     def __post_init__(self):
@@ -133,18 +132,6 @@ def optimize_assortment(model, a, pi, family="unconstrained"):
     raise DomainError("unsupported family %r" % (family,))
 
 
-def optimize_explicit(model, a, pi, assortments):
-    """Best among an explicit candidate list (plus the empty assortment)."""
-    if len(assortments) > 1 << 20:
-        raise SolverLimitError("explicit family too large")
-    best_s, best_v = (), 0.0
-    for s in assortments:
-        v = assortment_value(model, a, tuple(s), pi)
-        if v > best_v + 1e-15:
-            best_s, best_v = tuple(sorted(s)), v
-    return best_s, best_v
-
-
 def sample_choice(model, a, assortment, rng):
     """Sample one choice; returns a product index or None for no-purchase."""
     probs, _ = choice_probs(model, a, assortment)
@@ -155,48 +142,6 @@ def sample_choice(model, a, assortment, rng):
         if u < acc:
             return p
     return None
-
-
-def sample_type(model, rng):
-    """Sample a customer type index from the share distribution."""
-    u = rng.random()
-    acc = 0.0
-    for a, s in enumerate(model.type_shares):
-        acc += s
-        if u < acc:
-            return a
-    return model.n_types - 1
-
-
-def _model_from_dict(raw, fare_diff=False):
-    shift = raw.get("no_purchase_shift_fare_diff", 0.0) if fare_diff else 0.0
-    utilities = []
-    u0 = []
-    shares = []
-    labels = []
-    for t in raw["types"]:
-        utilities.append(
-            tuple(NEVER if u is None else float(u) for u in t["utilities"])
-        )
-        u0.append(float(t["u0"]) + shift)
-        shares.append(float(t["share"]))
-        labels.append(t.get("label", ""))
-    items = tuple(p["room"] for p in raw["products"])
-    return MnlModel(
-        n_products=len(raw["products"]),
-        type_shares=tuple(shares),
-        u0=tuple(u0),
-        utilities=tuple(utilities),
-        type_labels=tuple(labels),
-        product_items=items,
-    )
-
-
-def load_model(path, fare_diff=False):
-    """Load an MNL model from a JSON file (null utility = never chosen)."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    return _model_from_dict(raw, fare_diff=fare_diff)
 
 
 @dataclass(frozen=True)
@@ -210,27 +155,29 @@ class HotelCatalog:
     product_rooms: tuple  # room index per product
     product_levels: tuple  # price level per product (1 = low, 2 = high)
     fares: tuple  # fare per product
-    fare_diff: bool
-
-    @property
-    def n_rooms(self):
-        return len(self.room_names)
 
     def room_prices(self, room):
         """Strictly increasing fares of one room."""
-        out = sorted(
-            self.fares[p] for p in range(len(self.fares)) if self.product_rooms[p] == room
-        )
-        return out
+        return sorted(f for f, r in zip(self.fares, self.product_rooms) if r == room)
 
 
 def default_hotel_model(fare_diff=False):
-    """The bundled hotel catalog; fare_diff doubles every high fare and
-    raises each type's no-purchase utility accordingly."""
+    """The bundled hotel catalog (a null utility marks a product the type
+    never chooses); fare_diff doubles every high fare and raises each
+    type's no-purchase utility accordingly."""
     raw = json.loads(
         resources.files("multiprice.data").joinpath("hotel_mnl.json").read_text()
     )
-    model = _model_from_dict(raw, fare_diff=fare_diff)
+    shift = raw["no_purchase_shift_fare_diff"] if fare_diff else 0.0
+    types = raw["types"]
+    model = MnlModel(
+        n_products=len(raw["products"]),
+        type_shares=tuple(float(t["share"]) for t in types),
+        u0=tuple(float(t["u0"]) + shift for t in types),
+        utilities=tuple(tuple(NEVER if u is None else float(u) for u in t["utilities"])
+                        for t in types),
+        product_items=tuple(p["room"] for p in raw["products"]),
+    )
     fares = []
     for p in raw["products"]:
         room = raw["rooms"][p["room"]]
@@ -246,5 +193,4 @@ def default_hotel_model(fare_diff=False):
         product_rooms=tuple(p["room"] for p in raw["products"]),
         product_levels=tuple(p["level"] for p in raw["products"]),
         fares=tuple(fares),
-        fare_diff=fare_diff,
     )

@@ -29,7 +29,24 @@ EXIT_SOLVER = 3
 
 
 def _parse_prices(text):
-    return [float(x) for x in text.split(",") if x.strip()]
+    """argparse type of a comma-separated list of numbers."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError("not a comma-separated list of numbers: %r" % (text,))
+
+
+def _count(least):
+    """argparse type of an integer of at least `least`."""
+    def count(text):
+        try:
+            value = int(text)
+        except (TypeError, ValueError):
+            value = least - 1
+        if value < least:
+            raise ValidationError("expected an integer >= %d, got %r" % (least, text))
+        return value
+    return count
 
 
 def _emit(data, out):
@@ -42,7 +59,7 @@ def _emit(data, out):
 
 
 def cmd_valuefn(args):
-    vf = build_value_function(_parse_prices(args.prices))
+    vf = build_value_function(args.prices)
     if args.grid:
         rows = []
         for s in range(args.grid + 1):
@@ -62,7 +79,7 @@ def cmd_valuefn(args):
 
 
 def cmd_perturb_verify(args):
-    prices = PriceSet(_parse_prices(args.prices))
+    prices = PriceSet(args.prices)
     vf = build_value_function(prices)
     if args.single_unit:
         proc = single_unit_procedure(prices)
@@ -79,45 +96,46 @@ def cmd_perturb_verify(args):
     return EXIT_OK
 
 
-def _load_instance(raw):
-    items = tuple(
-        Item(k=int(it["k"]), priceset=PriceSet(it["prices"]))
-        for it in raw["setup"]["items"]
-    )
-    setup = Setup(items=items)
-    arr = raw["arrivals"]
-    kind = arr["kind"]
-    if kind == "deterministic":
-        try:
-            willing = np.asarray(arr["willing"])
-        except ValueError as exc:
-            raise ValidationError("willing: %s" % exc)
-        arrivals = ArrivalSequence(kind=kind, willing=willing)
-    elif kind in ("single_offer", "fractional"):
-        probs = tuple(tuple(tuple(p) for p in row) for row in arr["probs"])
-        arrivals = ArrivalSequence(kind=kind, probs=probs)
-    else:
-        raise MultipriceError("assortment instances are driven by hotel-sim")
-    return setup, arrivals
+def _load_instance(path):
+    """(raw JSON, Setup, ArrivalSequence) of an instance file; one that is
+    not JSON, lacks a field or holds a value of the wrong type raises
+    ValidationError."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        setup = Setup(items=tuple(Item(k=it["k"], priceset=PriceSet(it["prices"]))
+                                  for it in raw["setup"]["items"]))
+        arr = raw["arrivals"]
+        kind = arr["kind"]
+        if kind == "deterministic":
+            arrivals = ArrivalSequence(kind=kind, willing=np.asarray(arr["willing"]))
+        elif kind in ("single_offer", "fractional"):
+            probs = tuple(tuple(tuple(p) for p in row) for row in arr["probs"])
+            arrivals = ArrivalSequence(kind=kind, probs=probs)
+        else:
+            raise ValidationError("assortment instances are driven by hotel-sim")
+    except KeyError as exc:
+        raise ValidationError("%s: missing field %s" % (path, exc))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("%s: %s" % (path, exc))
+    return raw, setup, arrivals
 
 
 def cmd_simulate(args):
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    setup, arrivals = _load_instance(raw)
+    raw, setup, arrivals = _load_instance(args.config)
     policies = raw.get("policies", ["balance"])
-    trials = args.trials or int(raw.get("trials", 1))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    # through str, so that a float such as 2.5 is refused, not truncated
+    trials = args.trials if args.trials is not None else _count(1)(str(raw.get("trials", 1)))
+    seed = args.seed if args.seed is not None else _count(0)(str(raw.get("seed", 0)))
     try:
         bound = solve_primal(setup, arrivals).objective
     except SolverLimitError:
         bound = None
 
     rows = []
-    seeds = [int(s.generate_state(1)[0])
-             for s in np.random.SeedSequence(seed).spawn(trials)]
+    seeds = harness.child_seeds(np.random.SeedSequence(seed), trials)
     for name in policies:
-        if name not in _POLICIES:
+        if not isinstance(name, str) or name not in _POLICIES:
             raise MultipriceError("unknown policy %r" % (name,))
         fn = _POLICIES[name]
         for trial, s in enumerate(seeds):
@@ -138,9 +156,7 @@ def cmd_simulate(args):
 
 
 def cmd_lp_bound(args):
-    with open(args.instance) as fh:
-        raw = json.load(fh)
-    setup, arrivals = _load_instance(raw)
+    _, setup, arrivals = _load_instance(args.instance)
     sol = solve_primal(setup, arrivals)
     _emit({
         "objective": sol.objective,
@@ -151,18 +167,16 @@ def cmd_lp_bound(args):
 
 
 def cmd_adversary(args):
-    prices = _parse_prices(args.prices)
-    bounds = analytic_bounds(prices, args.n, args.k)
+    bounds = analytic_bounds(args.prices, args.n, args.k)
     policy_names = ["balance", "myopic", "conservative", "gnr"]
     if args.k == 1:
         policy_names.insert(1, "ranking")
     base_seed = args.seed if args.seed is not None else 0
-    trials = args.trials or 100
-    seeds = [int(s.generate_state(1)[0])
-             for s in np.random.SeedSequence(base_seed).spawn(trials)]
+    trials = args.trials if args.trials is not None else 100
+    seeds = harness.child_seeds(np.random.SeedSequence(base_seed), trials)
     sums = {name: 0.0 for name in policy_names}
     for s in seeds:
-        inst = build_instance(prices, args.n, args.k, s)
+        inst = build_instance(args.prices, args.n, args.k, s)
         for name in policy_names:
             sums[name] += _POLICIES[name](inst.setup, inst.arrivals, s).revenue / inst.realized_opt
     rows = [{"policy": "analytic_bound", "mean_ratio": bounds["ratio"]}]
@@ -175,11 +189,11 @@ def cmd_adversary(args):
 def cmd_hotel_sim(args):
     curve = ForecastCurve(expected_total=args.arrivals)
     cfg = harness.ExperimentConfig(
-        loading_factors=tuple(float(x) for x in args.loading_factors.split(",")),
+        loading_factors=tuple(args.loading_factors),
         fare_diff=args.fare_diff,
         n_days=args.days,
         mean_daily_arrivals=args.arrivals,
-        trials=args.trials or 10,
+        trials=args.trials if args.trials is not None else 10,
         base_seed=args.seed or 0,
         policies=hotel_policies(curve, args.gamma),
         workers=args.workers,
@@ -194,22 +208,22 @@ def cmd_hotel_sim(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="multiprice")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
+    p.add_argument("--trials", type=_count(1), default=None)
     p.add_argument("--out", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("valuefn", help="value function of a price set")
-    sp.add_argument("--prices", required=True)
-    sp.add_argument("--grid", type=int, default=0,
+    sp.add_argument("--prices", type=_parse_prices, required=True)
+    sp.add_argument("--grid", type=_count(0), default=0,
                     help="emit CSV of phi sampled on a uniform grid")
     sp.set_defaults(fn=cmd_valuefn)
 
     sp = sub.add_parser("perturb", help="randomized initialization tools")
     psub = sp.add_subparsers(dest="perturb_command", required=True)
     spv = psub.add_parser("verify", help="verify certification conditions")
-    spv.add_argument("--prices", required=True)
-    spv.add_argument("--k", type=int, default=1)
+    spv.add_argument("--prices", type=_parse_prices, required=True)
+    spv.add_argument("--k", type=_count(1), default=1)
     spv.add_argument("--c", type=float, default=None)
     spv.add_argument("--single-unit", action="store_true")
     spv.set_defaults(fn=cmd_perturb_verify)
@@ -223,32 +237,34 @@ def build_parser():
     sp.set_defaults(fn=cmd_lp_bound)
 
     sp = sub.add_parser("adversary", help="tight-instance Monte-Carlo")
-    sp.add_argument("--prices", required=True)
-    sp.add_argument("--n", type=int, default=200)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--prices", type=_parse_prices, required=True)
+    sp.add_argument("--n", type=_count(1), default=200)
+    sp.add_argument("--k", type=_count(1), default=1)
     sp.set_defaults(fn=cmd_adversary)
 
     sp = sub.add_parser("hotel-sim", help="synthetic hotel ensemble experiment")
-    sp.add_argument("--loading-factors", default="1.4,1.6,1.8")
+    sp.add_argument("--loading-factors", type=_parse_prices, default="1.4,1.6,1.8")
     sp.add_argument("--fare-diff", action="store_true")
-    sp.add_argument("--days", type=int, default=35)
+    sp.add_argument("--days", type=_count(1), default=35)
     sp.add_argument("--arrivals", type=float, default=260.0)
     sp.add_argument("--gamma", type=float, default=1.5)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_count(1), default=1)
     sp.add_argument("--runs-out", default=None)
     sp.set_defaults(fn=cmd_hotel_sim)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SolverLimitError as exc:
         print("solver limit: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
     except MultipriceError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # an unreadable input or unwritable output file
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,13 +20,14 @@ makes this step, and one ledger books every sale.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .choice import choice_probs, optimize_assortment, sample_choice
+from .choice import assortment_value, optimize_assortment, sample_choice
 from .errors import DomainError, MultipriceError, ValidationError
 from .perturb import build_perturbed
 from .valuefn import PriceSet, build_value_function
@@ -37,6 +38,10 @@ POSITIVITY_EPS = 1e-12
 PSI_DENOM = math.e - 1.0
 
 FORECAST_MODES = ("one_shot", "resolving", "learning", "clairvoyant")
+
+# cumulative fraction of eventual arrivals booked, by decreasing days before
+# the occupancy date: none at 35 days out, half at 25, all on the day
+BOOKING_CURVE = ((35.0, 0.0), (25.0, 0.5), (0.0, 1.0))
 
 
 @lru_cache(maxsize=4096)
@@ -57,6 +62,10 @@ class Item:
     priceset: PriceSet
 
     def __post_init__(self):
+        if type(self.k) is not int:  # numpy integers are taken as ints
+            if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+                raise ValidationError("inventory must be an integer, got %r" % (self.k,))
+            object.__setattr__(self, "k", int(self.k))
         if self.k < 1:
             raise ValidationError("inventory must be >= 1")
 
@@ -450,21 +459,18 @@ def run_balance_assortment(setup, arrivals, rng_seed, perturbed=True):
 
 @dataclass(frozen=True)
 class ForecastCurve:
-    """Cumulative fraction of eventual arrivals booked, as a piecewise-linear
-    function of days before the occupancy date.  Defaults to 50% booked by
-    25 days out, reaching 100% on the day itself."""
+    """Expected arrivals of a day, booked over the days before it as
+    BOOKING_CURVE, linear between its knots."""
 
     expected_total: float
-    knots: tuple = ((35.0, 0.0), (25.0, 0.5), (0.0, 1.0))
 
     def fraction(self, days_out):
-        pts = sorted(self.knots, key=lambda p: -p[0])
+        """Fraction of the arrivals booked by `days_out` days out."""
+        pts = BOOKING_CURVE
         if days_out >= pts[0][0]:
             return pts[0][1]
         for (d_hi, f_hi), (d_lo, f_lo) in zip(pts, pts[1:]):
             if d_lo <= days_out <= d_hi:
-                if d_hi == d_lo:
-                    return f_lo
                 t = (d_hi - days_out) / (d_hi - d_lo)
                 return f_hi + t * (f_lo - f_hi)
         return 1.0
@@ -565,7 +571,7 @@ def run_hybrid(setup, arrivals, base="resolving", gamma=1.5, resolve_every=100,
         pi_bal = balance_offer.values(products, ledger)
         s_fcst, _ = optimize_assortment(model, a, forecast_offer.values(products, ledger))
         s_bal, v_max = optimize_assortment(model, a, pi_bal)
-        v_fcst = sum(prob * pi_bal[p] for p, prob in choice_probs(model, a, s_fcst)[0].items())
+        v_fcst = assortment_value(model, a, s_fcst, pi_bal)
         if v_fcst + POSITIVITY_EPS >= v_max / gamma:
             return s_fcst, pi_bal
         overrides += 1

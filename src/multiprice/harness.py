@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import default_hotel_model
-from .engine import ArrivalSequence, ForecastCurve, Item, Setup, count_types
+from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types
 from .errors import ValidationError
 from .lp import solve_choice_lp
 from .valuefn import PriceSet
@@ -49,15 +49,15 @@ class ExperimentConfig:
     trials: int = 10
     base_seed: int = 0
     policies: tuple = ()  # (name, callable(setup, arrivals, rng_seed)) pairs
-    week_profile: tuple = DEFAULT_WEEK_PROFILE
-    booking_curve_knots: tuple = ((35.0, 0.0), (25.0, 0.5), (0.0, 1.0))
     workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
-        if any(lf <= 0 for lf in self.loading_factors):
-            raise ValidationError("loading factors must be positive")
+        if not self.mean_daily_arrivals >= 0:
+            raise ValidationError("mean daily arrivals must be >= 0")
+        if not self.loading_factors or any(lf <= 0 for lf in self.loading_factors):
+            raise ValidationError("need one or more loading factors, all positive")
 
 
 def _largest_remainder(total, shares):
@@ -71,10 +71,15 @@ def _largest_remainder(total, shares):
     return base
 
 
-def _sample_days_out(curve, count, rng):
+def child_seeds(root, n):
+    """One integer seed from each of n children of the SeedSequence root."""
+    return [int(s.generate_state(1)[0]) for s in root.spawn(n)]
+
+
+def _sample_days_out(count, rng):
     """Booking lead times (days before occupancy), via inverse transform of
-    the cumulative booking curve, ordered by booking date."""
-    pts = sorted(curve.knots, key=lambda p: -p[0])
+    BOOKING_CURVE, ordered by booking date."""
+    pts = BOOKING_CURVE
     # low quantiles map to large lead times; earliest bookings first
     us = np.sort(rng.random(count))
     out = []
@@ -82,10 +87,7 @@ def _sample_days_out(curve, count, rng):
         d = pts[-1][0]
         for (d_hi, f_hi), (d_lo, f_lo) in zip(pts, pts[1:]):
             if f_hi <= u <= f_lo:
-                if f_lo == f_hi:
-                    d = d_lo
-                else:
-                    d = d_hi - (u - f_hi) / (f_lo - f_hi) * (d_hi - d_lo)
+                d = d_hi - (u - f_hi) / (f_lo - f_hi) * (d_hi - d_lo)
                 break
         out.append(d)
     return out
@@ -111,10 +113,7 @@ def generate_hotel_ensemble(config, loading_factor):
     model = catalog.model
     products = tuple(zip(catalog.product_rooms, catalog.product_levels))
     setup = hotel_setup(catalog, loading_factor, config.mean_daily_arrivals)
-    curve = ForecastCurve(
-        expected_total=config.mean_daily_arrivals, knots=config.booking_curve_knots
-    )
-    profile = np.array(config.week_profile, dtype=float)
+    profile = np.array(DEFAULT_WEEK_PROFILE)
     profile = profile / profile.mean()
 
     root = np.random.SeedSequence((config.base_seed, hash(loading_factor) & 0xFFFF))
@@ -124,7 +123,7 @@ def generate_hotel_ensemble(config, loading_factor):
         count = max(int(rng.poisson(config.mean_daily_arrivals * profile[day % 7])), 1)
         types = tuple(int(rng.choice(model.n_types, p=model.type_shares))
                       for _ in range(count))
-        days_out = tuple(_sample_days_out(curve, count, rng))
+        days_out = tuple(_sample_days_out(count, rng))
         arrivals = ArrivalSequence(
             kind="assortment",
             types=types,
@@ -225,23 +224,19 @@ def _run_one(args):
     return result.revenue, result.meta
 
 
-def run_experiment(config, loading_factors=None):
+def run_experiment(config):
     """Run every configured policy over the ensembles and summarize.
 
     Returns {"runs": per-run rows, "summary": per-(policy, lf) aggregate
     rows}.  Policies on the same (instance, trial) share the rng seed
     (common random numbers).  Deterministic given base_seed.
     """
-    lfs = loading_factors or config.loading_factors
     runs = []
-    for lf in lfs:
+    for lf in config.loading_factors:
         ensemble = generate_hotel_ensemble(config, lf)
         bounds = [lp_bound(setup, arrivals) for setup, arrivals in ensemble]
         seed_root = np.random.SeedSequence((config.base_seed, 7919))
-        seeds = [
-            [int(s.generate_state(1)[0]) for s in day.spawn(config.trials)]
-            for day in seed_root.spawn(len(ensemble))
-        ]
+        seeds = [child_seeds(day, config.trials) for day in seed_root.spawn(len(ensemble))]
         jobs = []
         for d, (setup, arrivals) in enumerate(ensemble):
             for trial in range(config.trials):

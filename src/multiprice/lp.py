@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .choice import optimize_assortment
-from .engine import validate
+from .engine import _price_bids, validate
 from .errors import DomainError, SolverLimitError
 
 PIVOT_TOL = 1e-9
@@ -104,47 +104,41 @@ def solve_primal(setup, arrivals):
     """Hindsight assignment LP: x[t, i, j] is the chance that customer t is
     offered item i at price j, accepted with probability p; at most
     one offer per customer, expected sales within inventory.  Deterministic
-    (p = 1) and single-offer arrivals only."""
+    arrivals accept with p = 1 every price up to their willingness;
+    single-offer arrivals carry their own p."""
     if arrivals.kind not in ("deterministic", "single_offer"):
         raise DomainError("solve_primal expects deterministic or single_offer arrivals")
     validate(setup, arrivals)
     n = setup.n
     T_len = arrivals.T
+    prices = _price_bids(setup)  # prices[i, j] = r_i(j), 0 past item i's prices
 
-    # variables: one per (t, i, j) with positive probability
-    var_keys = []
-    var_p = []
-    var_r = []
+    # probs[t, i, j]: the chance customer t buys item i at price j if offered
     if arrivals.kind == "deterministic":
-        willing = np.asarray(arrivals.willing, dtype=int)
-        for t in range(T_len):
-            for i in range(n):
-                for j in range(1, int(willing[t, i]) + 1):
-                    var_keys.append((t, i, j))
-                    var_p.append(1.0)
-                    var_r.append(setup.items[i].priceset.price(j))
+        js = np.arange(prices.shape[1])
+        probs = ((js >= 1) & (js <= np.asarray(arrivals.willing)[:, :, None])).astype(float)
     else:
+        probs = np.zeros((T_len,) + prices.shape)
         for t, row in enumerate(arrivals.probs):
-            for i in range(n):
-                for j, p in enumerate(row[i], start=1):
-                    if p > 0.0:
-                        var_keys.append((t, i, j))
-                        var_p.append(p)
-                        var_r.append(setup.items[i].priceset.price(j))
+            for i, p_i in enumerate(row):
+                probs[t, i, 1 : len(p_i) + 1] = p_i
 
-    nv = len(var_keys)
+    # variables: one per (t, i, j) with positive probability, in that order
+    tv, iv, jv = np.nonzero(probs > 0.0)
+    nv = len(tv)
     if nv * 2 > MAX_NONZEROS:
         raise SolverLimitError("primal LP too large (%d variables)" % nv)
+    p = probs[tv, iv, jv]
     A = np.zeros((n + T_len, nv))
     # expected units sold count against inventory; the offers made to one
     # customer, accepted or not, are at most one in total
-    for v, ((t, i, j), p) in enumerate(zip(var_keys, var_p)):
-        A[i, v] = p
-        A[n + t, v] = 1.0
+    A[iv, np.arange(nv)] = p
+    A[n + tv, np.arange(nv)] = 1.0
     b = np.array([it.k for it in setup.items] + [1.0] * T_len, dtype=float)
-    c = np.array(var_p) * np.array(var_r)
+    c = p * prices[iv, jv]
 
     obj, x, duals = simplex_max(c, A, b)
+    var_keys = zip(tv.tolist(), iv.tolist(), jv.tolist())
     primal = {k: xv for k, xv in zip(var_keys, x) if xv > 1e-12}
     return LpSolution(
         objective=obj,

@@ -35,7 +35,6 @@ class PerturbedValueFunction:
     k: int
     tilde_borders: tuple  # length m + 1, multiples of 1/k
     grid_values: tuple  # length k + 1
-    seed_w: float | None = None
 
     @property
     def m(self):
@@ -116,9 +115,7 @@ def build_perturbed(vf, k, w_seed):
     vf = _as_vf(vf)
     borders = round_borders(vf, k, w_seed)
     grid = _grid_from_borders(vf, k, borders)
-    return PerturbedValueFunction(
-        k=k, tilde_borders=tuple(borders), grid_values=tuple(grid), seed_w=w_seed
-    )
+    return PerturbedValueFunction(k=k, tilde_borders=tuple(borders), grid_values=tuple(grid))
 
 
 @dataclass(frozen=True)
@@ -172,9 +169,7 @@ def single_unit_procedure(priceset):
     for d in range(1, m + 1):
         borders = tuple(0.0 if j < d else 1.0 for j in range(m + 1))
         top = vf.priceset.price(d) / sigma1
-        pvf = PerturbedValueFunction(
-            k=1, tilde_borders=borders, grid_values=(0.0, top), seed_w=None
-        )
+        pvf = PerturbedValueFunction(k=1, tilde_borders=borders, grid_values=(0.0, top))
         configs.append((vf.sigmas[d - 1], pvf))
     return RandomizedProcedure(priceset=vf.priceset, k=1, configurations=tuple(configs))
 

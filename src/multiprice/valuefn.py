@@ -18,20 +18,6 @@ from .errors import DomainError, InvalidPriceSet, InvalidRange
 # w values this close to a segment border are snapped onto it
 BORDER_SNAP = 1e-15
 
-_POSITIVITY_EPS = 1e-12
-
-
-def canonicalize_prices(prices):
-    """Sort and deduplicate a raw price list into a valid strictly
-    increasing sequence.  Callers that want silent cleanup must opt in by
-    calling this; the PriceSet constructor itself rejects dirty input."""
-    out = sorted({float(r) for r in prices})
-    if not out:
-        raise InvalidPriceSet("empty price list")
-    if out[0] <= 0.0:
-        raise InvalidPriceSet("prices must be strictly positive")
-    return out
-
 
 @dataclass(frozen=True)
 class PriceSet:

@@ -176,6 +176,7 @@ def test_criterion_05_certification_tightness():
            % (",".join(notes), elapsed))
 
 
+@pytest.mark.slow
 def test_criterion_06_single_unit_pincer():
     t0 = time.perf_counter()
     prices = [1.0, 3.0]
@@ -204,6 +205,7 @@ def test_criterion_06_single_unit_pincer():
            "%.1fs" % (means["ranking"], F, max(means.values()), elapsed))
 
 
+@pytest.mark.slow
 def test_criterion_07_multi_unit_ratio():
     sums = 0.0
     n_seeds = 200
@@ -312,6 +314,7 @@ def test_criterion_10_two_phase_example():
            % (bal, gnr, bal / gnr))
 
 
+@pytest.mark.slow
 def test_criterion_11_hotel_shape():
     t0 = time.perf_counter()
     curve_total = 260.0

@@ -1,7 +1,6 @@
 """Multinomial-logit choice model and the assortment optimization oracle."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -16,11 +15,8 @@ from multiprice import (
     assortment_value,
     choice_probs,
     default_hotel_model,
-    load_model,
     optimize_assortment,
-    optimize_explicit,
     sample_choice,
-    sample_type,
 )
 
 
@@ -190,14 +186,6 @@ class TestOptimizeAssortment:
         with pytest.raises(DomainError):
             optimize_assortment(simple_model(), 0, (1.0,))
 
-    def test_optimize_explicit(self):
-        m = simple_model()
-        pi = (2.0, 1.0, 0.5)
-        s, v = optimize_explicit(m, 0, pi, [(0,), (1,), (0, 1)])
-        ref = max(assortment_value(m, 0, c, pi) for c in [(0,), (1,), (0, 1)])
-        assert v == pytest.approx(max(ref, 0.0), abs=1e-12)
-        assert set(s) <= {0, 1}
-
 
 class TestSampling:
     def test_choice_frequencies(self):
@@ -212,18 +200,10 @@ class TestSampling:
             emp = counts[p] / n
             assert abs(emp - target) < 3 * math.sqrt(target * (1 - target) / n) + 1e-9
 
-    def test_type_frequencies(self):
-        m = simple_model()
-        rng = np.random.default_rng(2)
-        n = 20000
-        c0 = sum(1 for _ in range(n) if sample_type(m, rng) == 0)
-        assert abs(c0 / n - 0.7) < 3 * math.sqrt(0.7 * 0.3 / n)
-
-
 class TestHotelCatalog:
     def test_shape(self):
         cat = default_hotel_model()
-        assert cat.n_rooms == 4
+        assert len(cat.room_names) == 4
         assert cat.model.n_products == 8
         assert cat.model.n_types == 8
         assert sum(cat.inventory_shares) == pytest.approx(1.0, abs=1e-9)
@@ -261,19 +241,3 @@ class TestHotelCatalog:
         a = never_types[0]
         with_it, p0a = choice_probs(cat.model, a, tuple(range(8)))
         assert with_it[queen_l] == 0.0
-
-    def test_load_model_from_file(self, tmp_path):
-        raw = {
-            "products": [{"label": "A", "room": 0, "level": 1}],
-            "rooms": [],
-            "no_purchase_shift_fare_diff": 1.0,
-            "types": [
-                {"label": "t", "share": 1.0, "u0": 0.5, "utilities": [None]},
-            ],
-        }
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(raw))
-        m = load_model(path)
-        assert m.utilities[0][0] == NEVER
-        m2 = load_model(path, fare_diff=True)
-        assert m2.u0[0] == pytest.approx(1.5)

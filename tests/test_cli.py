@@ -138,20 +138,104 @@ class TestSimulateAndLpBound:
         assert "solver limit" in err
 
 
+ONE_ITEM = {"k": 1, "prices": [1.0, 3.0]}
+
+
+def deterministic_text(willing, item=ONE_ITEM):
+    return json.dumps({"setup": {"items": [item]},
+                       "arrivals": {"kind": "deterministic", "willing": willing}})
+
+
+# instance file text of each malformed case; None: no file at the path
+BAD_INSTANCES = {
+    "willing0": deterministic_text([[3]]),  # price index above the item's two
+    "willing1": deterministic_text([1, 2]),  # 1-D
+    "fractional-k": deterministic_text([[1]], {"k": 1.5, "prices": [1.0, 3.0]}),
+    "no-items": json.dumps({"setup": {}, "arrivals": {"kind": "deterministic",
+                                                      "willing": [[1]]}}),
+    "bad-prices": deterministic_text([[1]], {"k": 1, "prices": ["a"]}),
+    "bad-json": '{"setup": ',
+    "missing-file": None,
+}
+
+
+def write_file(tmp_path, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    return path
+
+
+def instance_argv(text, command):
+    def argv(tmp_path):
+        path = write_file(tmp_path, "bad.json", text)
+        return [command, "--config" if command == "simulate" else "--instance", str(path)]
+    return argv
+
+
+# argv of each malformed-input case, made in a test's tmp_path
+MALFORMED = {
+    "%s-%s" % (name, command): instance_argv(text, command)
+    for name, text in BAD_INSTANCES.items() for command in ("lp-bound", "simulate")
+}
+MALFORMED.update({
+    "valuefn-prices": lambda tmp_path: ["valuefn", "--prices", "a,b"],
+    "hotel-sim-loading-factors": lambda tmp_path: ["hotel-sim", "--loading-factors", "x"],
+    "hotel-sim-no-loading-factors": lambda tmp_path: ["hotel-sim", "--loading-factors", ","],
+    "hotel-sim-arrivals": lambda tmp_path: ["hotel-sim", "--arrivals", "-5"],
+    "simulate-policy-list": lambda tmp_path: [
+        "simulate", "--config", str(write_file(tmp_path, "policies.json", json.dumps(
+            {**json.loads(deterministic_text([[1]])), "policies": [["balance"]]})))],
+    "unwritable-out": lambda tmp_path: ["--out", str(tmp_path / "no-dir" / "vf.json"),
+                                        "valuefn", "--prices", "1"],
+})
+
+
 class TestMalformedInstance:
-    @pytest.mark.parametrize("command", ["simulate", "lp-bound"])
-    @pytest.mark.parametrize("willing", [[[3]], [1, 2]])
-    def test_exit_2_without_traceback(self, tmp_path, capsys, command, willing):
-        # [[3]]: price index above the item's two prices; [1, 2]: 1-D
-        raw = {"setup": {"items": [{"k": 1, "prices": [1.0, 3.0]}]},
-               "arrivals": {"kind": "deterministic", "willing": willing}}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(raw))
-        flag = "--config" if command == "simulate" else "--instance"
-        code, _, err = run_cli(capsys, command, flag, str(path))
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_2_without_traceback(self, tmp_path, capsys, case):
+        code, out, err = run_cli(capsys, *MALFORMED[case](tmp_path))
         assert code == EXIT_VALIDATION
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert out == ""
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "0", "adversary", "--prices", "1,3"],
+        ["--trials", "-1", "adversary", "--prices", "1,3"],
+        ["--trials", "0", "hotel-sim", "--days", "1"],
+        ["--trials", "x", "hotel-sim", "--days", "1"],
+        ["--seed", "-1", "valuefn", "--prices", "1"],
+        ["hotel-sim", "--days", "0"],
+        ["hotel-sim", "--workers", "0"],
+        ["valuefn", "--prices", "1,3", "--grid", "-1"],
+        ["adversary", "--prices", "1,3", "--n", "0"],
+        ["adversary", "--prices", "1,3", "--k", "0"],
+        ["perturb", "verify", "--prices", "1,3", "--k", "0"],
+    ], ids=" ".join)
+    def test_below_least_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and "expected an integer" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("field, value", [("trials", 0), ("trials", 2.5), ("seed", -1),
+                                              ("seed", 1.5), ("seed", True)])
+    def test_instance_counts(self, tmp_path, capsys, field, value):
+        raw = json.loads(instance_file(tmp_path, [[1, 1]]).read_text())
+        raw[field] = value
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:")
+
+    def test_grid_zero_is_json(self, capsys):
+        code, out, _ = run_cli(capsys, "valuefn", "--prices", "1,3", "--grid", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["prices"] == [1.0, 3.0]
 
 
 class TestAdversary:

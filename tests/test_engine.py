@@ -66,6 +66,18 @@ class TestBasics:
         with pytest.raises(ValidationError):
             ArrivalSequence(kind="bogus")
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, np.bool_(True), "2", None])
+    def test_item_rejects_non_integral_inventory(self, k):
+        with pytest.raises(ValidationError):
+            Item(k=k, priceset=PriceSet([1.0]))
+
+    def test_item_takes_numpy_integers(self):
+        item = Item(k=np.int64(2), priceset=PriceSet([1.0, 3.0]))
+        assert type(item.k) is int and item == Item(k=2, priceset=PriceSet([1.0, 3.0]))
+        setup = Setup(items=(item,))
+        for fn in (run_myopic, run_balance, run_ranking):
+            assert fn(setup, det([[2], [1], [2]]), 5).revenue > 0.0
+
     def test_dimension_mismatch(self):
         setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),))
         with pytest.raises(DomainError):

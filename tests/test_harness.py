@@ -24,7 +24,6 @@ from multiprice.harness import (
     write_runs_csv,
     write_summary_csv,
 )
-from multiprice.engine import ForecastCurve
 
 
 def small_config(**kw):
@@ -79,18 +78,16 @@ class TestHotelSetup:
 
 class TestSampleDaysOut:
     def test_range_and_order(self):
-        curve = ForecastCurve(expected_total=100.0)
         rng = np.random.default_rng(1)
-        days = _sample_days_out(curve, 500, rng)
+        days = _sample_days_out(500, rng)
         assert all(0.0 <= d <= 35.0 for d in days)
         # earliest bookings (largest lead time) come first
         assert days == sorted(days, reverse=True)
 
     def test_median_near_curve(self):
         # half the mass books by 25 days out
-        curve = ForecastCurve(expected_total=100.0)
         rng = np.random.default_rng(2)
-        days = _sample_days_out(curve, 4000, rng)
+        days = _sample_days_out(4000, rng)
         frac_early = sum(1 for d in days if d >= 25.0) / len(days)
         assert abs(frac_early - 0.5) < 3 * math.sqrt(0.25 / 4000)
 

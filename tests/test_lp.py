@@ -3,6 +3,7 @@
 import itertools
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from multiprice import (
     solve_choice_lp,
     solve_primal,
 )
+from multiprice.engine import validate
 from multiprice.lp import ColumnPool, _column_for
 
 
@@ -322,6 +324,109 @@ class TestPrimalLp:
         willing = np.full((600, 20), 5)
         with pytest.raises(SolverLimitError):
             solve_primal(setup, ArrivalSequence(kind="deterministic", willing=willing))
+
+
+
+def reference_solve_primal(setup, arrivals):
+    """The solve_primal that built the deterministic and the single-offer
+    variables in two loops, kept verbatim as the reference for bit-identical
+    output."""
+    if arrivals.kind not in ("deterministic", "single_offer"):
+        raise DomainError("solve_primal expects deterministic or single_offer arrivals")
+    validate(setup, arrivals)
+    n = setup.n
+    T_len = arrivals.T
+
+    # variables: one per (t, i, j) with positive probability
+    var_keys = []
+    var_p = []
+    var_r = []
+    if arrivals.kind == "deterministic":
+        willing = np.asarray(arrivals.willing, dtype=int)
+        for t in range(T_len):
+            for i in range(n):
+                for j in range(1, int(willing[t, i]) + 1):
+                    var_keys.append((t, i, j))
+                    var_p.append(1.0)
+                    var_r.append(setup.items[i].priceset.price(j))
+    else:
+        for t, row in enumerate(arrivals.probs):
+            for i in range(n):
+                for j, p in enumerate(row[i], start=1):
+                    if p > 0.0:
+                        var_keys.append((t, i, j))
+                        var_p.append(p)
+                        var_r.append(setup.items[i].priceset.price(j))
+
+    nv = len(var_keys)
+    if nv * 2 > lp.MAX_NONZEROS:
+        raise SolverLimitError("primal LP too large (%d variables)" % nv)
+    A = np.zeros((n + T_len, nv))
+    # expected units sold count against inventory; the offers made to one
+    # customer, accepted or not, are at most one in total
+    for v, ((t, i, j), p) in enumerate(zip(var_keys, var_p)):
+        A[i, v] = p
+        A[n + t, v] = 1.0
+    b = np.array([it.k for it in setup.items] + [1.0] * T_len, dtype=float)
+    c = np.array(var_p) * np.array(var_r)
+
+    obj, x, duals = simplex_max(c, A, b)
+    primal = {k: xv for k, xv in zip(var_keys, x) if xv > 1e-12}
+    return lp.LpSolution(
+        objective=obj,
+        primal=primal,
+        duals_items=list(duals[:n]),
+        duals_arrivals=list(duals[n:]),
+    )
+
+
+def primal_outcome(fn, setup, arrivals):
+    """The solution as hex strings, primal in its dict order, or the
+    solver-limit message."""
+    try:
+        sol = fn(setup, arrivals)
+    except SolverLimitError as exc:
+        return ("SolverLimitError", str(exc))
+    return (float(sol.objective).hex(),
+            [(tuple(map(int, k)), float(v).hex()) for k, v in sol.primal.items()],
+            [float(v).hex() for v in sol.duals_items],
+            [float(v).hex() for v in sol.duals_arrivals])
+
+
+@st.composite
+def primal_instances(draw):
+    """A deterministic or single-offer instance whose items hold 1-4
+    prices each, and an offset of the size guard from its variable count
+    (None: the guard stays at MAX_NONZEROS)."""
+    n, T = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    items = tuple(
+        Item(k=draw(st.integers(1, 3)), priceset=PriceSet(sorted(draw(
+            st.lists(st.floats(1.0, 100.0), min_size=m, max_size=m, unique=True)))))
+        for m in draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    )
+    setup = Setup(items=items)
+    if draw(st.booleans()):
+        willing = [[draw(st.integers(0, it.priceset.m)) for it in items] for _ in range(T)]
+        arrivals = ArrivalSequence(kind="deterministic",
+                                   willing=np.array(willing, dtype=int).reshape(T, n))
+        nv = int(np.sum(willing))
+    else:
+        prob = st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        probs = tuple(tuple(tuple(draw(prob) for _ in range(it.priceset.m)) for it in items)
+                      for _ in range(T))
+        arrivals = ArrivalSequence(kind="single_offer", probs=probs)
+        nv = sum(p > 0.0 for row in probs for r in row for p in r)
+    offset = draw(st.none() | st.integers(-2, 1))
+    return setup, arrivals, None if offset is None else 2 * nv + offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(primal_instances())
+def test_solve_primal_bit_identical_to_reference(instance):
+    setup, arrivals, limit = instance
+    with mock.patch.object(lp, "MAX_NONZEROS", lp.MAX_NONZEROS if limit is None else limit):
+        assert (primal_outcome(solve_primal, setup, arrivals)
+                == primal_outcome(reference_solve_primal, setup, arrivals))
 
 
 def small_choice_setting():

@@ -13,7 +13,6 @@ from multiprice import (
     PriceSet,
     build_continuum,
     build_value_function,
-    canonicalize_prices,
     lambert_w,
     solve_alphas,
     solve_sigmas,
@@ -55,14 +54,6 @@ class TestPriceSet:
         assert ps.price(0) == 0.0
         assert ps.price(2) == 7.0
         assert ps.m == 2
-
-    def test_canonicalize(self):
-        assert canonicalize_prices([3, 1, 3.0, 2]) == [1.0, 2.0, 3.0]
-        with pytest.raises(InvalidPriceSet):
-            canonicalize_prices([-1, 2])
-        with pytest.raises(InvalidPriceSet):
-            canonicalize_prices([])
-
 
 class TestSolveAlphas:
     def test_single_price(self):
