@@ -43,8 +43,6 @@ class AdversarialInstance:
     priceset: PriceSet
     n: int
     k: int
-    betas: tuple
-    B: tuple
     setup: Setup
     arrivals: ArrivalSequence
     permutation: tuple
@@ -65,7 +63,7 @@ def build_instance(priceset, n, k, rng_seed):
         priceset = PriceSet(priceset)
     if k < 1 or n < priceset.m:
         raise DomainError("need k >= 1 and n >= m")
-    B, betas = solve_betas(priceset)
+    _, betas = solve_betas(priceset)
     m = priceset.m
 
     # phase boundaries in whole groups, round-half-even on the tail sums
@@ -94,8 +92,6 @@ def build_instance(priceset, n, k, rng_seed):
         priceset=priceset,
         n=n,
         k=k,
-        betas=tuple(betas),
-        B=tuple(B),
         setup=setup,
         arrivals=arrivals,
         permutation=tuple(int(p) for p in perm),

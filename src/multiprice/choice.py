@@ -10,13 +10,12 @@ the sorted positive-value products need evaluating.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DomainError, SolverLimitError, ValidationError
+from .errors import DomainError, ValidationError
 
 NEVER = float("-inf")
 
@@ -25,16 +24,19 @@ NEVER = float("-inf")
 class MnlModel:
     """Mean utilities of each customer type over a fixed product list.
 
-    utilities[a][p] may be -inf; u0[a] is the no-purchase utility.
+    utilities[a][p] may be -inf; u0[a] is the no-purchase utility.  The
+    fields are stored as tuples, so that a model is hashable.
     """
 
     n_products: int
     type_shares: tuple
     u0: tuple
     utilities: tuple  # tuple per type, aligned with product indices
-    product_items: tuple = ()  # optional item index per product
 
     def __post_init__(self):
+        object.__setattr__(self, "type_shares", tuple(self.type_shares))
+        object.__setattr__(self, "u0", tuple(self.u0))
+        object.__setattr__(self, "utilities", tuple(map(tuple, self.utilities)))
         if abs(sum(self.type_shares) - 1.0) > 1e-12:
             raise ValidationError("type shares must sum to 1")
         if any(s < 0 for s in self.type_shares):
@@ -79,57 +81,33 @@ def assortment_value(model, a, assortment, pi):
     return sum(prob * pi[p] for p, prob in probs.items())
 
 
-def optimize_assortment(model, a, pi, family="unconstrained"):
-    """Best assortment for customer type a under adjusted values pi.
-
-    family "unconstrained" uses prefix enumeration over products sorted by
-    decreasing pi (only positive-value, choosable products can help);
-    "one_price_per_item" enumerates one-option-per-item combinations and
-    needs model.product_items.
+def optimize_assortment(model, a, pi):
+    """Best assortment for customer type a under adjusted values pi, by
+    prefix enumeration over products sorted by decreasing pi (only
+    positive-value, choosable products can help).
     Returns (assortment tuple, objective); the empty assortment scores 0.
     """
     model._check_type(a)
     if len(pi) != model.n_products:
         raise DomainError("pi length mismatch")
-    if family == "unconstrained":
-        cands = [
-            p
-            for p in range(model.n_products)
-            if pi[p] > 0.0 and model.utilities[a][p] != NEVER
-        ]
-        cands.sort(key=lambda p: -pi[p])
-        best_s, best_v = (), 0.0
-        weight_sum = math.exp(model.u0[a])
-        value_sum = 0.0
-        for end in range(1, len(cands) + 1):
-            p = cands[end - 1]
-            w = math.exp(model.utilities[a][p])
-            weight_sum += w
-            value_sum += w * pi[p]
-            v = value_sum / weight_sum
-            if v > best_v + 1e-15:
-                best_s, best_v = tuple(sorted(cands[:end])), v
-        return best_s, best_v
-    if family == "one_price_per_item":
-        if len(model.product_items) != model.n_products:
-            raise DomainError("one_price_per_item needs product_items")
-        groups = {}
-        for p in range(model.n_products):
-            groups.setdefault(model.product_items[p], []).append(p)
-        option_lists = [[None] + ps for ps in groups.values()]
-        total = 1
-        for opts in option_lists:
-            total *= len(opts)
-        if total > 1 << 20:
-            raise SolverLimitError("one_price_per_item family too large")
-        best_s, best_v = (), 0.0
-        for combo in itertools.product(*option_lists):
-            s = tuple(sorted(p for p in combo if p is not None))
-            v = assortment_value(model, a, s, pi)
-            if v > best_v + 1e-15:
-                best_s, best_v = s, v
-        return best_s, best_v
-    raise DomainError("unsupported family %r" % (family,))
+    cands = [
+        p
+        for p in range(model.n_products)
+        if pi[p] > 0.0 and model.utilities[a][p] != NEVER
+    ]
+    cands.sort(key=lambda p: -pi[p])
+    best_s, best_v = (), 0.0
+    weight_sum = math.exp(model.u0[a])
+    value_sum = 0.0
+    for end in range(1, len(cands) + 1):
+        p = cands[end - 1]
+        w = math.exp(model.utilities[a][p])
+        weight_sum += w
+        value_sum += w * pi[p]
+        v = value_sum / weight_sum
+        if v > best_v + 1e-15:
+            best_s, best_v = tuple(sorted(cands[:end])), v
+    return best_s, best_v
 
 
 def sample_choice(model, a, assortment, rng):
@@ -176,7 +154,6 @@ def default_hotel_model(fare_diff=False):
         u0=tuple(float(t["u0"]) + shift for t in types),
         utilities=tuple(tuple(NEVER if u is None else float(u) for u in t["utilities"])
                         for t in types),
-        product_items=tuple(p["room"] for p in raw["products"]),
     )
     fares = []
     for p in raw["products"]:

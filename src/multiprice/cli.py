@@ -109,11 +109,13 @@ def _load_instance(path):
         kind = arr["kind"]
         if kind == "deterministic":
             arrivals = ArrivalSequence(kind=kind, willing=np.asarray(arr["willing"]))
-        elif kind in ("single_offer", "fractional"):
+        elif kind == "single_offer":
             probs = tuple(tuple(tuple(p) for p in row) for row in arr["probs"])
             arrivals = ArrivalSequence(kind=kind, probs=probs)
-        else:
+        elif kind == "assortment":
             raise ValidationError("assortment instances are driven by hotel-sim")
+        else:
+            raise ValidationError("simulate and lp-bound refuse %r instances" % (kind,))
     except KeyError as exc:
         raise ValidationError("%s: missing field %s" % (path, exc))
     except (TypeError, ValueError) as exc:

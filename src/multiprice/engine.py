@@ -75,6 +75,7 @@ class Setup:
     items: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
         if len(self.items) < 1:
             raise ValidationError("need at least one item")
 
@@ -124,10 +125,14 @@ class RunResult:
     meta: dict = field(default_factory=dict)
 
 
-def validate(setup, arrivals):
-    """Raise DomainError unless the arrivals fit the setup.  Every arrival
-    loop and the hindsight LP call this first, so malformed input never
-    ends in an index error deep inside a policy."""
+def validate(setup, arrivals, policy, *kinds):
+    """Raise DomainError unless the arrivals are of one of the kinds that
+    `policy` takes and fit the setup.  Every runner and the hindsight LP
+    call this first, so malformed input never ends in an index error deep
+    inside a policy."""
+    if arrivals.kind not in kinds:
+        raise DomainError("%s takes %s arrivals, not %s"
+                          % (policy, " or ".join(kinds), arrivals.kind))
     n = setup.n
     ms = [it.priceset.m for it in setup.items]
     if arrivals.kind == "deterministic":
@@ -148,12 +153,6 @@ def validate(setup, arrivals):
                 raise DomainError("probs row needs one probability per price of each item")
             if not all(0.0 <= p <= 1.0 for r in row for p in r):
                 raise DomainError("probability outside [0, 1]")
-
-
-def _expect(arrivals, policy, *kinds):
-    if arrivals.kind not in kinds:
-        raise DomainError("%s takes %s arrivals, not %s"
-                          % (policy, " or ".join(kinds), arrivals.kind))
 
 
 def _stream(rng_seed, i):
@@ -268,7 +267,6 @@ def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
     """One argmax per arrival: the customer buys from the first column of
     largest offer value at their willingness price, since the offer value
     rises with the price; bid 0 of an uninterested customer never wins."""
-    validate(setup, arrivals)
     willing = np.asarray(arrivals.willing)
     cols = offer.col_item
     bid_per_t = offer.bid[cols[None, :], willing[:, cols]]
@@ -306,7 +304,6 @@ def _best_offer(row, value, items):
 def _single_offer_loop(setup, arrivals, rng_seed, offer, ledger, on_sale=None):
     """Each customer is offered the best (item, price) and buys it with its
     probability, drawn from the choice stream."""
-    validate(setup, arrivals)
     rng = _stream(rng_seed, setup.n)
     for t, row in enumerate(arrivals.probs):
         z, i, j = _best_offer(row, offer.value, [i for i in range(setup.n) if ledger.is_open(i)])
@@ -322,7 +319,6 @@ def _fractional_loop(setup, arrivals, offer, ledger, vfs):
     """Fluid balance: the best offer's probability mass is bought outright,
     truncated to what the item has left; the item's offer state is its
     value function at the new fraction sold."""
-    validate(setup, arrivals)
     ks = ledger.ks
     w = np.zeros(setup.n)
     truncations = 0
@@ -345,7 +341,6 @@ def _assortment_loop(setup, arrivals, rng_seed, offer, ledger, choose=None):
     """Offer each customer the assortment of largest expected offer value,
     or what choose(t, a) returns as (assortment, offer value per product);
     the customer picks by the MNL model from the choice stream."""
-    validate(setup, arrivals)
     rng = _stream(rng_seed, setup.n)
     model, products = arrivals.model, arrivals.products
     for t, a in enumerate(arrivals.types):
@@ -380,7 +375,7 @@ def run_balance(setup, arrivals, rng_seed, perturbed=True, duals_trace=False):
     """Balance policy: offer the (item, price) with the largest expected
     pseudorevenue, where an item's unit is valued by its perturbed value
     function at the rounded price border minus at the current sold level."""
-    _expect(arrivals, "balance", "deterministic", "single_offer")
+    validate(setup, arrivals, "balance", "deterministic", "single_offer")
     offer, grids = _balance_offer(setup, rng_seed, perturbed)
     trace = [] if duals_trace else None
 
@@ -397,7 +392,7 @@ def run_ranking(setup, arrivals, rng_seed, check_assignments=False):
     """Ranking policy: items are split into single units, each unit gets a
     fixed uniform seed W, and every customer is assigned the available unit
     maximizing her willingness price minus the unit's value Phi(W)."""
-    _expect(arrivals, "ranking", "deterministic")
+    validate(setup, arrivals, "ranking", "deterministic")
     vfs = [_vf_for(it.priceset.prices) for it in setup.items]
     unit_item, unit_w = [], []
     for i, item in enumerate(setup.items):
@@ -419,7 +414,8 @@ def run_ranking(setup, arrivals, rng_seed, check_assignments=False):
 def _run_static_weight(setup, arrivals, rng_seed, discount, high_only=False):
     """Shared runner for policies whose offer value is the price times a
     discount that depends only on the item's sold fraction."""
-    _expect(arrivals, "static-weight policy", "deterministic", "single_offer", "assortment")
+    validate(setup, arrivals, "static-weight policy",
+             "deterministic", "single_offer", "assortment")
     levels = [[discount(s / it.k) for s in range(it.k)] + [0.0] for it in setup.items]
     offer = _Offer(_price_bids(setup, high_only), operator.mul, levels)
     return _offer_loop(setup, arrivals, rng_seed, offer).result()
@@ -443,7 +439,7 @@ def run_conservative(setup, arrivals, rng_seed):
 def run_balance_fractional(setup, arrivals, rng_seed):
     """Balance in the fluid regime: deterministic value functions, bids pay
     and consume fractionally, bids overshooting capacity are truncated."""
-    _expect(arrivals, "balance_fractional", "fractional")
+    validate(setup, arrivals, "balance_fractional", "fractional")
     vfs = [_vf_for(it.priceset.prices) for it in setup.items]
     offer = _Offer(_price_bids(setup), operator.sub, state=np.array([vf.phi(0.0) for vf in vfs]))
     return _fractional_loop(setup, arrivals, offer, Ledger(setup), vfs)
@@ -452,7 +448,7 @@ def run_balance_fractional(setup, arrivals, rng_seed):
 def run_balance_assortment(setup, arrivals, rng_seed, perturbed=True):
     """Balance over assortment arrivals: offer the assortment maximizing
     expected pseudorevenue under the perturbed value functions."""
-    _expect(arrivals, "balance_assortment", "assortment")
+    validate(setup, arrivals, "balance_assortment", "assortment")
     offer, _ = _balance_offer(setup, rng_seed, perturbed)
     return _offer_loop(setup, arrivals, rng_seed, offer).result()
 
@@ -511,14 +507,12 @@ class _BidPriceOffer(_Offer):
     and, unless the mode is one_shot, every resolve_every arrivals."""
 
     def __init__(self, setup, arrivals, ledger, mode, resolve_every, forecast):
-        from .lp import ColumnPool
-
         if mode not in FORECAST_MODES:
             raise DomainError("unknown mode %r" % (mode,))
         super().__init__(_price_bids(setup), operator.sub, state=np.zeros(setup.n))
         self.mode, self.every = mode, resolve_every
         self.context = (setup, arrivals, ledger, forecast)
-        self.pool = ColumnPool()
+        self.pool = {}  # the choice LP's columns, kept across re-solves
         self.solves = 0
 
     def refresh(self, t):
@@ -544,7 +538,7 @@ def run_bidprice(setup, arrivals, mode="resolving", resolve_every=100,
     (booking-curve forecast, aggregate type shares), learning (empirical
     type shares), clairvoyant (true remaining counts).
     """
-    _expect(arrivals, "bidprice", "assortment")
+    validate(setup, arrivals, "bidprice", "assortment")
     ledger = Ledger(setup)
     offer = _BidPriceOffer(setup, arrivals, ledger, mode, resolve_every, forecast)
     _assortment_loop(setup, arrivals, rng_seed, offer, ledger)
@@ -556,7 +550,7 @@ def run_hybrid(setup, arrivals, base="resolving", gamma=1.5, resolve_every=100,
     """Follow the forecast assortment unless its pseudorevenue (under the
     deterministic value functions) falls below 1/gamma of the best
     achievable, in which case offer the pseudorevenue maximizer instead."""
-    _expect(arrivals, "hybrid", "assortment")
+    validate(setup, arrivals, "hybrid", "assortment")
     if gamma <= 1.0:
         raise DomainError("gamma must exceed 1")
     ledger = Ledger(setup)

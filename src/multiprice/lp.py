@@ -13,12 +13,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choice import optimize_assortment
+from .choice import choice_probs, optimize_assortment
 from .engine import _price_bids, validate
 from .errors import DomainError, SolverLimitError
 
 PIVOT_TOL = 1e-9
 MAX_NONZEROS = 100_000
+# column generation stops once no new column prices above its type's dual
+# by more than COLGEN_TOL, or after MAX_COLGEN_ROUNDS master solves
+COLGEN_TOL = 1e-7
+MAX_COLGEN_ROUNDS = 10_000
 
 
 @dataclass
@@ -106,9 +110,7 @@ def solve_primal(setup, arrivals):
     one offer per customer, expected sales within inventory.  Deterministic
     arrivals accept with p = 1 every price up to their willingness;
     single-offer arrivals carry their own p."""
-    if arrivals.kind not in ("deterministic", "single_offer"):
-        raise DomainError("solve_primal expects deterministic or single_offer arrivals")
-    validate(setup, arrivals)
+    validate(setup, arrivals, "solve_primal", "deterministic", "single_offer")
     n = setup.n
     T_len = arrivals.T
     prices = _price_bids(setup)  # prices[i, j] = r_i(j), 0 past item i's prices
@@ -150,8 +152,6 @@ def solve_primal(setup, arrivals):
 
 def _column_for(model, a, assortment, products, fares, n_items, n_types):
     """Master column of offering `assortment` to one type-a customer."""
-    from .choice import choice_probs
-
     probs, _ = choice_probs(model, a, assortment)
     col = np.zeros(n_items + n_types)
     rev = 0.0
@@ -163,18 +163,7 @@ def _column_for(model, a, assortment, products, fares, n_items, n_types):
     return col, rev
 
 
-class ColumnPool:
-    """Reusable (type, assortment) columns across repeated choice-LP solves
-    with the same model/products/fares (only capacities and counts vary)."""
-
-    def __init__(self):
-        self.cols = []  # (a, assortment, column vector, revenue)
-        self.seen = set()
-
-
-def solve_choice_lp(setup, type_counts, model, products, capacities=None,
-                    family="unconstrained", tol=1e-7, max_columns=10_000,
-                    pool=None):
+def solve_choice_lp(setup, type_counts, model, products, capacities=None, pool=None):
     """Choice-based LP by column generation.
 
     Variables x_a(S) = number of type-a customers shown assortment S;
@@ -183,106 +172,88 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None,
     The pricing subproblem is the single-shot assortment oracle with
     adjusted values fare - y_i.  Returns bid prices y_i as item duals.
 
-    A solve from a fresh pool (None or empty) is a pure function of the
-    other arguments and is memoized on them (8 entries); the pool, if
-    given, receives the columns that solve generated, in order.
+    The pool, a dict {(type, assortment): (column, revenue)} in the order
+    the columns were generated, carries columns across solves with the same
+    model, products and fares.  A solve from a fresh pool (None or empty)
+    is memoized on the other arguments (8 entries) and fills the pool, if
+    given, with the columns that solve generated.
     """
     caps = tuple(it.k for it in setup.items) if capacities is None else tuple(capacities)
-    key = None
-    if pool is None or not pool.cols:
-        key = (setup, tuple(type_counts), model, tuple(products), caps, family, tol, max_columns)
-        try:
-            hash(key)
-        except TypeError:
-            key = None
-    if key is None:
-        return _column_generation(setup, type_counts, model, products, caps,
-                                  family, tol, max_columns, pool or ColumnPool())
-    sol, cols = _fresh_solve(*key)
+    if pool:
+        return _column_generation(setup, type_counts, model, products, caps, pool)
+    sol, cols = _fresh_solve(setup, tuple(type_counts), model, tuple(map(tuple, products)),
+                             caps)
     if pool is not None:
-        pool.cols.extend(cols)
-        pool.seen.update((a, s) for a, s, _, _ in cols)
+        pool.update(cols)
     return LpSolution(sol.objective, dict(sol.primal), list(sol.duals_items),
                       list(sol.duals_arrivals), dict(sol.meta))
 
 
 @lru_cache(maxsize=8)
-def _fresh_solve(setup, type_counts, model, products, capacities, family, tol, max_columns):
+def _fresh_solve(setup, type_counts, model, products, capacities):
     """The solution from an empty pool and the columns it generated, which
     are shared with every later caller's pool and so made read-only."""
-    pool = ColumnPool()
-    sol = _column_generation(setup, type_counts, model, products, capacities,
-                             family, tol, max_columns, pool)
-    for _, _, col, _ in pool.cols:
+    pool = {}
+    sol = _column_generation(setup, type_counts, model, products, capacities, pool)
+    for col, _ in pool.values():
         col.flags.writeable = False
-    return sol, tuple(pool.cols)
+    return sol, tuple(pool.items())
 
 
-def _column_generation(setup, type_counts, model, products, capacities, family,
-                       tol, max_columns, pool):
+def _column_generation(setup, type_counts, model, products, capacities, pool):
     n = setup.n
     A_types = model.n_types
     if len(type_counts) != A_types:
         raise DomainError("type_counts length mismatch")
     if any(cnt < 0 for cnt in type_counts):
         raise DomainError("negative type count")
-    if max_columns < 1:
-        raise DomainError("max_columns must be at least 1")
     fares = [setup.items[i].priceset.price(j) for i, j in products]
-    cols = pool.cols
-    seen = pool.seen
 
     def add_col(a, s):
-        key = (a, s)
-        if key in seen:
+        if (a, s) in pool:
             return False
-        col, rev = _column_for(model, a, s, products, fares, n, A_types)
-        cols.append((a, s, col, rev))
-        seen.add(key)
+        pool[a, s] = _column_for(model, a, s, products, fares, n, A_types)
         return True
 
     # start from each type's myopic-best assortment
     for a in range(A_types):
-        s, _ = optimize_assortment(model, a, fares, family=family)
+        s, _ = optimize_assortment(model, a, fares)
         if s:
             add_col(a, s)
 
     b = np.array([float(c) for c in capacities] + [float(cnt) for cnt in type_counts])
-    y = np.zeros(n)
-    z = np.zeros(A_types)
-    obj = 0.0
-    x = np.zeros(0)
-    for _ in range(max_columns):
-        if cols:
-            A_mat = np.column_stack([col for _, _, col, _ in cols])
-            c_vec = np.array([rev for _, _, _, rev in cols])
+    obj, x = 0.0, ()
+    y, z = np.zeros(n), np.zeros(A_types)
+    for _ in range(MAX_COLGEN_ROUNDS):
+        if pool:
+            A_mat = np.column_stack([col for col, _ in pool.values()])
+            c_vec = np.array([rev for _, rev in pool.values()])
             obj, x, duals = simplex_max(c_vec, A_mat, b)
             y = duals[:n]
             z = duals[n:]
         # pricing: each type's best assortment under fare - y; a type with
         # no customers prices at 0 and adds nothing
         pi = [fares[p] - y[products[p][0]] for p in range(len(products))]
-        priced = [optimize_assortment(model, a, pi, family=family) if type_counts[a] > 0
+        priced = [optimize_assortment(model, a, pi) if type_counts[a] > 0
                   else ((), 0.0) for a in range(A_types)]
         added = False
         for a, (s, v) in enumerate(priced):
-            if v > z[a] + tol and s:
+            if v > z[a] + COLGEN_TOL and s:
                 added = add_col(a, s) or added
         if not added:
             break
     # stalled on pooled columns or at the iteration guard: the objective is
     # within sum_a max(v_a - z_a, 0) * count_a of the LP optimum
     gap = 0.0
-    if any(v > z[a] + tol for a, (_, v) in enumerate(priced)):
+    if any(v > z[a] + COLGEN_TOL for a, (_, v) in enumerate(priced)):
         gap = sum(max(v - z[a], 0.0) * type_counts[a] for a, (_, v) in enumerate(priced))
 
-    primal = {
-        (cols[v][0], cols[v][1]): x[v] for v in range(len(cols)) if len(x) and x[v] > 1e-12
-    }
+    # at the iteration guard the columns of the last round are unsolved
+    primal = {key: xv for key, xv in zip(pool, x) if xv > 1e-12}
     return LpSolution(
         objective=obj,
         primal=primal,
         duals_items=[max(v, 0.0) for v in y],
         duals_arrivals=list(z),
-        meta={"columns": len(cols), "gap": gap},
+        meta={"columns": len(pool), "gap": gap},
     )

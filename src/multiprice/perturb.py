@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, ValidationError
 from .valuefn import PriceSet, ValueFunction, build_value_function
@@ -52,6 +53,21 @@ class PerturbedValueFunction:
         return self.value(self.tilde_borders[j])
 
 
+@lru_cache(maxsize=256)
+def _floor_frac(borders, k):
+    """(floor, fractional part) of L(j) k per border, a part within _FRAC_SNAP
+    of an integer snapped onto it as 0; memoized, as items share price sets."""
+    out = []
+    for lj in borders:
+        x = lj * k
+        fl = math.floor(x)
+        frac = x - fl
+        if frac >= 1.0 - _FRAC_SNAP:
+            fl, frac = fl + 1, 0.0
+        out.append((fl, frac if frac > _FRAC_SNAP else 0.0))
+    return tuple(out)
+
+
 def round_borders(vf, k, w_seed):
     """Comonotone rounding of all borders to multiples of 1/k: border j
     moves up to (floor(L(j) k) + 1)/k exactly when the shared seed falls
@@ -61,19 +77,7 @@ def round_borders(vf, k, w_seed):
         raise DomainError("k must be a positive integer")
     if not 0.0 <= w_seed < 1.0:
         raise DomainError("seed must lie in [0, 1)")
-    out = []
-    for lj in vf.borders:
-        x = lj * k
-        fl = math.floor(x)
-        frac = x - fl
-        if frac <= _FRAC_SNAP:
-            out.append(fl / k)
-        elif frac >= 1.0 - _FRAC_SNAP:
-            out.append((fl + 1) / k)
-        elif w_seed < frac:
-            out.append((fl + 1) / k)
-        else:
-            out.append(fl / k)
+    out = [(fl + (w_seed < frac)) / k for fl, frac in _floor_frac(vf.borders, k)]
     out[0] = 0.0
     out[-1] = 1.0
     return out
@@ -140,12 +144,7 @@ def enumerate_seed_support(vf, k):
     of L(j) k, so at most m + 1 seed intervals.  Interval lengths are the
     exact probabilities; no sampling involved."""
     vf = _as_vf(vf)
-    fracs = set()
-    for lj in vf.borders:
-        x = lj * k
-        frac = x - math.floor(x)
-        if _FRAC_SNAP < frac < 1.0 - _FRAC_SNAP:
-            fracs.add(frac)
+    fracs = {frac for _, frac in _floor_frac(vf.borders, k) if frac}
     cuts = [0.0] + sorted(fracs) + [1.0]
     configs = []
     for lo, hi in zip(cuts, cuts[1:]):

@@ -10,7 +10,6 @@ from multiprice import (
     DomainError,
     MnlModel,
     NEVER,
-    SolverLimitError,
     ValidationError,
     assortment_value,
     choice_probs,
@@ -138,49 +137,6 @@ class TestOptimizeAssortment:
         m = simple_model()
         s, v = optimize_assortment(m, 0, (-1.0, -2.0, -0.5))
         assert s == () and v == 0.0
-
-    def test_one_price_per_item(self):
-        # 2 items x 2 price levels; the family must not mix two products of
-        # the same item
-        m = MnlModel(
-            n_products=4,
-            type_shares=(1.0,),
-            u0=(0.0,),
-            utilities=((1.0, 0.5, 0.8, 0.2),),
-            product_items=(0, 0, 1, 1),
-        )
-        pi = (1.0, 3.0, 2.0, 4.0)
-        s, v = optimize_assortment(m, 0, pi, family="one_price_per_item")
-        items = [m.product_items[p] for p in s]
-        assert len(items) == len(set(items))
-        # exhaustive over the same family
-        best = 0.0
-        for combo in itertools.product([None, 0, 1], [None, 2, 3]):
-            cand = tuple(p for p in combo if p is not None)
-            best = max(best, assortment_value(m, 0, cand, pi))
-        assert v == pytest.approx(best, abs=1e-12)
-
-    def test_one_price_per_item_needs_items(self):
-        with pytest.raises(DomainError):
-            optimize_assortment(simple_model(), 0, (1.0, 1.0, 1.0),
-                                family="one_price_per_item")
-
-    def test_family_guard(self):
-        n = 42  # 2^42 single-product combos with one item each
-        m = MnlModel(
-            n_products=n,
-            type_shares=(1.0,),
-            u0=(0.0,),
-            utilities=(tuple(0.0 for _ in range(n)),),
-            product_items=tuple(range(n)),
-        )
-        with pytest.raises(SolverLimitError):
-            optimize_assortment(m, 0, tuple(1.0 for _ in range(n)),
-                                family="one_price_per_item")
-
-    def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            optimize_assortment(simple_model(), 0, (1.0, 1.0, 1.0), family="nope")
 
     def test_pi_length(self):
         with pytest.raises(DomainError):

@@ -200,6 +200,16 @@ class TestMalformedInstance:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["lp-bound", "simulate"])
+    def test_fractional_instance_is_named(self, tmp_path, capsys, command):
+        # no policy of the registry and no bound takes fractional arrivals
+        text = json.dumps({"setup": {"items": [ONE_ITEM]},
+                           "arrivals": {"kind": "fractional", "probs": [[[0.5, 0.5]]]}})
+        code, out, err = run_cli(capsys, *instance_argv(text, command)(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and "fractional" in err
+        assert out == ""
+
 
 class TestCountFlags:
     @pytest.mark.parametrize("argv", [

@@ -113,7 +113,7 @@ class TestValidate:
     def test_bad_willing(self, willing):
         arrivals = ArrivalSequence(kind="deterministic", willing=np.asarray(willing))
         with pytest.raises(DomainError):
-            validate(self.setup, arrivals)
+            validate(self.setup, arrivals, "myopic", "deterministic")
         with pytest.raises(DomainError):
             run_myopic(self.setup, arrivals, 0)
 
@@ -127,21 +127,29 @@ class TestValidate:
     ])
     def test_bad_probs(self, kind, row):
         with pytest.raises(DomainError):
-            validate(self.setup, ArrivalSequence(kind=kind, probs=(row,)))
+            validate(self.setup, ArrivalSequence(kind=kind, probs=(row,)), "test", kind)
+
+    def test_wrong_kind_names_policy_and_kinds(self):
+        arrivals = ArrivalSequence(kind="single_offer", probs=(((0.0, 1.0), (0.3,)),))
+        with pytest.raises(DomainError, match="^ranking takes deterministic arrivals, "
+                                              "not single_offer$"):
+            validate(self.setup, arrivals, "ranking", "deterministic")
+        with pytest.raises(DomainError, match="^ranking takes deterministic arrivals"):
+            run_ranking(self.setup, arrivals, 0)
 
     def test_good_arrivals_pass(self):
-        validate(self.setup, det([[2, 1], [0, 0]]))
-        validate(self.setup, ArrivalSequence(kind="single_offer",
-                                             probs=(((0.0, 1.0), (0.3,)),)))
+        validate(self.setup, det([[2, 1], [0, 0]]), "myopic", "deterministic")
+        validate(self.setup, ArrivalSequence(kind="single_offer", probs=(((0.0, 1.0), (0.3,)),)),
+                 "myopic", "single_offer")
 
     def test_bad_assortment(self):
         setup, products, model = small_choice_setting()
-        validate(setup, assortment_arrivals(model, products, [0, 1]))
+        validate(setup, assortment_arrivals(model, products, [0, 1]), "test", "assortment")
         with pytest.raises(DomainError):
-            validate(setup, assortment_arrivals(model, products, [0, 2]))
+            validate(setup, assortment_arrivals(model, products, [0, 2]), "test", "assortment")
         for bad in (((0, 1), (2, 1)), ((0, 1), (0, 3)), ((0, 0), (1, 1))):
             with pytest.raises(DomainError):
-                validate(setup, assortment_arrivals(model, bad, [0]))
+                validate(setup, assortment_arrivals(model, bad, [0]), "test", "assortment")
         with pytest.raises(DomainError):
             run_balance_assortment(setup, assortment_arrivals(model, products, [5]), 0)
 

@@ -16,6 +16,7 @@ from multiprice import (
     DomainError,
     Item,
     MnlModel,
+    NEVER,
     PriceSet,
     Setup,
     SolverLimitError,
@@ -28,7 +29,7 @@ from multiprice import (
     solve_primal,
 )
 from multiprice.engine import validate
-from multiprice.lp import ColumnPool, _column_for
+from multiprice.lp import _column_for
 
 
 def hindsight_opt(setup, willing):
@@ -331,9 +332,7 @@ def reference_solve_primal(setup, arrivals):
     """The solve_primal that built the deterministic and the single-offer
     variables in two loops, kept verbatim as the reference for bit-identical
     output."""
-    if arrivals.kind not in ("deterministic", "single_offer"):
-        raise DomainError("solve_primal expects deterministic or single_offer arrivals")
-    validate(setup, arrivals)
+    validate(setup, arrivals, "solve_primal", "deterministic", "single_offer")
     n = setup.n
     T_len = arrivals.T
 
@@ -485,13 +484,13 @@ class TestChoiceLp:
 
     def test_pool_reuse_identical_result(self):
         setup, products, model = small_choice_setting()
-        pool = ColumnPool()
+        pool = {}
         first = solve_choice_lp(setup, [4.0, 4.0], model, products, pool=pool)
-        n_cols = len(pool.cols)
+        n_cols = len(pool)
         again = solve_choice_lp(setup, [4.0, 4.0], model, products, pool=pool)
         fresh = solve_choice_lp(setup, [4.0, 4.0], model, products)
         assert again.objective == pytest.approx(fresh.objective, abs=1e-9)
-        assert len(pool.cols) >= n_cols  # pool only grows
+        assert len(pool) >= n_cols  # pool only grows
 
     def test_capacities_override(self):
         setup, products, model = small_choice_setting()
@@ -506,8 +505,6 @@ class TestChoiceLp:
             solve_choice_lp(setup, [1.0], model, products)
         with pytest.raises(DomainError):
             solve_choice_lp(setup, [-1.0, 2.0], model, products)
-        with pytest.raises(DomainError):
-            solve_choice_lp(setup, [1.0, 1.0], model, products, max_columns=0)
 
     def test_objective_monotone_in_counts(self):
         setup, products, model = small_choice_setting()
@@ -534,10 +531,6 @@ def solution_digest(sol):
     )
 
 
-def pool_keys(pool):
-    return [(a, s) for a, s, _, _ in pool.cols]
-
-
 class TestChoiceLpMemo:
     def test_hit_equals_miss(self, empty_memo):
         setup, products, model = small_choice_setting()
@@ -560,12 +553,11 @@ class TestChoiceLpMemo:
 
     def test_hit_fills_the_pool_like_a_miss(self, empty_memo):
         setup, products, model = small_choice_setting()
-        missed, hit = ColumnPool(), ColumnPool()
+        missed, hit = {}, {}
         solve_choice_lp(setup, [4.0, 4.0], model, products, pool=missed)
         solve_choice_lp(setup, [4.0, 4.0], model, products, pool=hit)
         assert empty_memo.cache_info().hits == 1
-        assert pool_keys(hit) == pool_keys(missed)
-        assert hit.seen == missed.seen
+        assert list(hit) == list(missed)
         # the next re-solve from either pool is the same
         tight = [solve_choice_lp(setup, [4.0, 4.0], model, products, capacities=[1, 1],
                                  pool=pool) for pool in (missed, hit)]
@@ -580,7 +572,7 @@ class TestChoiceLpMemo:
 
     def test_nonempty_pool_bypasses_the_memo(self, empty_memo):
         setup, products, model = small_choice_setting()
-        pool = ColumnPool()
+        pool = {}
         solve_choice_lp(setup, [4.0, 4.0], model, products, pool=pool)
         before = empty_memo.cache_info()
         solve_choice_lp(setup, [4.0, 4.0], model, products, pool=pool)
@@ -605,7 +597,227 @@ class TestChoiceLpMemo:
             return s, v + 100.0
 
         monkeypatch.setattr(lp, "optimize_assortment", inflated)
+        solves = mock.Mock(wraps=lp.simplex_max)
+        monkeypatch.setattr(lp, "simplex_max", solves)
         setup, products, model = small_choice_setting()
         sol = solve_choice_lp(setup, [4.0, 2.0], model, products)
         assert sol.meta["gap"] > 0.0
         assert sol.meta["gap"] == pytest.approx(100.0 * 6.0, abs=1e-5)
+        # the round that adds no new column is the last: every master solve
+        # but the last follows a round that added a column
+        assert solves.call_count <= sol.meta["columns"] + 1
+
+    def test_list_built_arguments_hit_the_memo(self, empty_memo):
+        setup, products, model = small_choice_setting()
+        miss = solve_choice_lp(setup, [4.0, 4.0], model, products)
+        listed_model = MnlModel(n_products=model.n_products, type_shares=list(model.type_shares),
+                                u0=list(model.u0), utilities=[list(r) for r in model.utilities])
+        hit = solve_choice_lp(Setup(items=list(setup.items)), [4.0, 4.0], listed_model,
+                              [list(p) for p in products])
+        assert empty_memo.cache_info().hits == 1
+        assert solution_digest(hit) == solution_digest(miss)
+
+
+def test_iteration_guard_reports_the_gap(empty_memo, monkeypatch):
+    # one master solve, then the guard: the columns priced in that round
+    # are left unsolved, and the gap bounds what they could add
+    monkeypatch.setattr(lp, "MAX_COLGEN_ROUNDS", 1)
+    setup, products, model = small_choice_setting()
+    counts = [10.0, 2.0]
+    sol = solve_choice_lp(setup, counts, model, products)
+    fares = [setup.items[i].priceset.price(j) for i, j in products]
+    pi = [fares[p] - sol.duals_items[i] for p, (i, _) in enumerate(products)]
+    values = [lp.optimize_assortment(model, a, pi)[1] for a in range(model.n_types)]
+    gap = sum(max(v - z, 0.0) * cnt for v, z, cnt in zip(values, sol.duals_arrivals, counts))
+    assert sol.meta["gap"] > 0.0
+    assert sol.meta["gap"] == pytest.approx(gap, rel=1e-12)
+    assert len(sol.primal) < sol.meta["columns"]
+    ref_obj, _ = full_column_lp(setup, counts, model, products)
+    assert sol.objective < ref_obj <= sol.objective + sol.meta["gap"] + 1e-9
+
+
+class RefColumnPool:
+    """The two-field column pool of the list-based solve_choice_lp."""
+
+    def __init__(self):
+        self.cols = []  # (a, assortment, column vector, revenue)
+        self.seen = set()
+
+
+def ref_solve_choice_lp(setup, type_counts, model, products, capacities=None,
+                        family="unconstrained", tol=1e-7, max_columns=10_000,
+                        pool=None):
+    """The list-pool solve_choice_lp with its family, tol and max_columns
+    knobs, kept verbatim as the reference for bit-identical output.  It
+    calls the oracle, simplex_max and _column_for through `lp`, so that a
+    test patches both versions at once; the unconstrained family, its only
+    one in use, is all the oracle has."""
+    caps = tuple(it.k for it in setup.items) if capacities is None else tuple(capacities)
+    key = None
+    if pool is None or not pool.cols:
+        key = (setup, tuple(type_counts), model, tuple(products), caps, family, tol, max_columns)
+        try:
+            hash(key)
+        except TypeError:
+            key = None
+    if key is None:
+        return ref_column_generation(setup, type_counts, model, products, caps,
+                                     family, tol, max_columns, pool or RefColumnPool())
+    sol, cols = ref_fresh_solve(*key)
+    if pool is not None:
+        pool.cols.extend(cols)
+        pool.seen.update((a, s) for a, s, _, _ in cols)
+    return lp.LpSolution(sol.objective, dict(sol.primal), list(sol.duals_items),
+                         list(sol.duals_arrivals), dict(sol.meta))
+
+
+@lru_cache(maxsize=8)
+def ref_fresh_solve(setup, type_counts, model, products, capacities, family, tol, max_columns):
+    pool = RefColumnPool()
+    sol = ref_column_generation(setup, type_counts, model, products, capacities,
+                                family, tol, max_columns, pool)
+    for _, _, col, _ in pool.cols:
+        col.flags.writeable = False
+    return sol, tuple(pool.cols)
+
+
+def ref_column_generation(setup, type_counts, model, products, capacities, family,
+                          tol, max_columns, pool):
+    n = setup.n
+    A_types = model.n_types
+    if len(type_counts) != A_types:
+        raise DomainError("type_counts length mismatch")
+    if any(cnt < 0 for cnt in type_counts):
+        raise DomainError("negative type count")
+    if max_columns < 1:
+        raise DomainError("max_columns must be at least 1")
+    fares = [setup.items[i].priceset.price(j) for i, j in products]
+    cols = pool.cols
+    seen = pool.seen
+
+    def add_col(a, s):
+        key = (a, s)
+        if key in seen:
+            return False
+        col, rev = lp._column_for(model, a, s, products, fares, n, A_types)
+        cols.append((a, s, col, rev))
+        seen.add(key)
+        return True
+
+    # start from each type's myopic-best assortment
+    for a in range(A_types):
+        s, _ = lp.optimize_assortment(model, a, fares)
+        if s:
+            add_col(a, s)
+
+    b = np.array([float(c) for c in capacities] + [float(cnt) for cnt in type_counts])
+    y = np.zeros(n)
+    z = np.zeros(A_types)
+    obj = 0.0
+    x = np.zeros(0)
+    for _ in range(max_columns):
+        if cols:
+            A_mat = np.column_stack([col for _, _, col, _ in cols])
+            c_vec = np.array([rev for _, _, _, rev in cols])
+            obj, x, duals = lp.simplex_max(c_vec, A_mat, b)
+            y = duals[:n]
+            z = duals[n:]
+        # pricing: each type's best assortment under fare - y; a type with
+        # no customers prices at 0 and adds nothing
+        pi = [fares[p] - y[products[p][0]] for p in range(len(products))]
+        priced = [lp.optimize_assortment(model, a, pi) if type_counts[a] > 0
+                  else ((), 0.0) for a in range(A_types)]
+        added = False
+        for a, (s, v) in enumerate(priced):
+            if v > z[a] + tol and s:
+                added = add_col(a, s) or added
+        if not added:
+            break
+    # stalled on pooled columns or at the iteration guard: the objective is
+    # within sum_a max(v_a - z_a, 0) * count_a of the LP optimum
+    gap = 0.0
+    if any(v > z[a] + tol for a, (_, v) in enumerate(priced)):
+        gap = sum(max(v - z[a], 0.0) * type_counts[a] for a, (_, v) in enumerate(priced))
+
+    primal = {
+        (cols[v][0], cols[v][1]): x[v] for v in range(len(cols)) if len(x) and x[v] > 1e-12
+    }
+    return lp.LpSolution(
+        objective=obj,
+        primal=primal,
+        duals_items=[max(v, 0.0) for v in y],
+        duals_arrivals=list(z),
+        meta={"columns": len(cols), "gap": gap},
+    )
+
+
+@st.composite
+def choice_lp_cases(draw):
+    """A small choice LP: 1-3 items of 1-3 prices, an MNL model over some
+    of their (item, price) products with NEVER utilities, and 1-4 solves of
+    type counts (zeros among them) and capacities (zeros among them, or
+    None for the full inventory)."""
+    n = draw(st.integers(1, 3))
+    items = tuple(
+        Item(k=draw(st.integers(1, 4)), priceset=PriceSet(sorted(draw(
+            st.lists(st.floats(1.0, 100.0), min_size=m, max_size=m, unique=True)))))
+        for m in draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    )
+    pairs = [(i, j) for i, it in enumerate(items) for j in range(1, it.priceset.m + 1)]
+    products = tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs),
+                                   unique=True)))
+    n_types = draw(st.integers(1, 3))
+    utility = st.just(NEVER) | st.floats(-2.0, 2.0)
+    model = MnlModel(
+        n_products=len(products),
+        type_shares=(1.0 / n_types,) * n_types,
+        u0=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(n_types)),
+        utilities=tuple(tuple(draw(utility) for _ in products) for _ in range(n_types)),
+    )
+    count = st.sampled_from([0.0, 0.0, 1.0, 2.5]) | st.floats(0.0, 20.0)
+    solves = draw(st.lists(st.tuples(
+        st.lists(count, min_size=n_types, max_size=n_types),
+        st.none() | st.lists(st.integers(0, 4), min_size=n, max_size=n)), min_size=1, max_size=4))
+    return Setup(items=items), model, products, solves, draw(st.booleans())
+
+
+def choice_outcome(sol, solves):
+    """The solution as hex strings, primal in its dict order, and the number
+    of master solves it took."""
+    return (float(sol.objective).hex(),
+            [(a, s, float(v).hex()) for (a, s), v in sol.primal.items()],
+            [float(v).hex() for v in sol.duals_items],
+            [float(v).hex() for v in sol.duals_arrivals],
+            sol.meta["columns"], float(sol.meta["gap"]).hex(), solves.call_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(choice_lp_cases())
+def test_solve_choice_lp_bit_identical_to_reference(case):
+    """Fresh and pooled re-solve sequences give the list-pool version's
+    output; with stalled pricing (every assortment valued 100 above its
+    worth) too, where only the pool's duplicate check ends a solve."""
+    setup, model, products, solves_, stall = case
+    real = lp.optimize_assortment
+
+    def oracle(model, a, pi):
+        s, v = real(model, a, pi)
+        return s, v + 100.0 if stall else v
+
+    counter = mock.Mock(wraps=lp.simplex_max)
+    with mock.patch.object(lp, "optimize_assortment", oracle), \
+            mock.patch.object(lp, "simplex_max", counter):
+        for pooled in (False, True):
+            lp._fresh_solve.cache_clear()
+            ref_fresh_solve.cache_clear()
+            pool, ref_pool = ({}, RefColumnPool()) if pooled else (None, None)
+            for counts, caps in solves_:
+                outcomes = []
+                for fn, p in ((solve_choice_lp, pool), (ref_solve_choice_lp, ref_pool)):
+                    counter.reset_mock()
+                    sol = fn(setup, counts, model, products, capacities=caps, pool=p)
+                    outcomes.append(choice_outcome(sol, counter))
+                assert outcomes[0] == outcomes[1]
+            if pooled:
+                assert list(pool) == [(a, s) for a, s, _, _ in ref_pool.cols]
+    lp._fresh_solve.cache_clear()
