@@ -16,16 +16,14 @@ import numpy as np
 
 from .engine import ArrivalSequence, Item, Setup
 from .errors import DomainError
-from .valuefn import PriceSet, build_value_function
+from .valuefn import PriceSet
 
 
-def solve_betas(priceset):
+def solve_betas(vf):
     """Phase fractions: tail sums follow the recursion
     B_j = B_{j-1} * r(j-1) e^{-alpha(j-1)} / (r(j) e^{-alpha(j)}), B_1 = 1;
     beta_j = B_j - B_{j+1} with B_{m+1} = 0."""
-    if not isinstance(priceset, PriceSet):
-        priceset = PriceSet(priceset)
-    vf = build_value_function(priceset)
+    priceset = vf.priceset
     m = priceset.m
     B = [1.0]
     for j in range(2, m + 1):
@@ -56,14 +54,14 @@ class AdversarialInstance:
         return self.k * sum(self.priceset.price(j) for j in self.group_phases)
 
 
-def build_instance(priceset, n, k, rng_seed):
-    """One permuted instance: customer group g (of k identical customers)
-    is interested in items pi[g-1..n-1] and pays the price of its phase."""
-    if not isinstance(priceset, PriceSet):
-        priceset = PriceSet(priceset)
+def build_instance(vf, n, k, rng_seed):
+    """One permuted instance of the price set of vf: customer group g (of k
+    identical customers) is interested in items pi[g-1..n-1] and pays the
+    price of its phase."""
+    priceset = vf.priceset
     if k < 1 or n < priceset.m:
         raise DomainError("need k >= 1 and n >= m")
-    _, betas = solve_betas(priceset)
+    _, betas = solve_betas(vf)
     m = priceset.m
 
     # phase boundaries in whole groups, round-half-even on the tail sums
@@ -99,13 +97,11 @@ def build_instance(priceset, n, k, rng_seed):
     )
 
 
-def analytic_bounds(priceset, n, k):
+def analytic_bounds(vf, n, k):
     """Closed-form hindsight optimum, online upper bound, and their ratio
     (which equals F of the price set exactly)."""
-    if not isinstance(priceset, PriceSet):
-        priceset = PriceSet(priceset)
-    vf = build_value_function(priceset)
-    B, betas = solve_betas(priceset)
+    priceset = vf.priceset
+    B, betas = solve_betas(vf)
     m = priceset.m
     opt = n * k * sum(priceset.price(j + 1) * betas[j] for j in range(m))
     online_ub = n * k * sum(

@@ -79,19 +79,16 @@ def cmd_valuefn(args):
 
 
 def cmd_perturb_verify(args):
-    prices = PriceSet(args.prices)
-    vf = build_value_function(prices)
+    vf = build_value_function(args.prices)
     if args.single_unit:
-        proc = single_unit_procedure(prices)
-        k = 1
+        proc = single_unit_procedure(vf)
         default_c = vf.G / 2.0
     else:
-        k = args.k
-        proc = enumerate_seed_support(vf, k)
-        default_c = certified_lower_bounds(vf, k)["best"]
+        proc = enumerate_seed_support(vf, args.k)
+        default_c = certified_lower_bounds(vf, args.k)["best"]
     c = args.c if args.c is not None else default_c
-    ok, report = verify_conditions(proc, prices, k, c)
-    report["certified_bounds"] = certified_lower_bounds(vf, k)
+    _, report = verify_conditions(proc, c)
+    report["certified_bounds"] = certified_lower_bounds(vf, proc.k)
     _emit(report, args.out)
     return EXIT_OK
 
@@ -169,7 +166,8 @@ def cmd_lp_bound(args):
 
 
 def cmd_adversary(args):
-    bounds = analytic_bounds(args.prices, args.n, args.k)
+    vf = build_value_function(args.prices)
+    bounds = analytic_bounds(vf, args.n, args.k)
     policy_names = ["balance", "myopic", "conservative", "gnr"]
     if args.k == 1:
         policy_names.insert(1, "ranking")
@@ -178,7 +176,7 @@ def cmd_adversary(args):
     seeds = harness.child_seeds(np.random.SeedSequence(base_seed), trials)
     sums = {name: 0.0 for name in policy_names}
     for s in seeds:
-        inst = build_instance(args.prices, args.n, args.k, s)
+        inst = build_instance(vf, args.n, args.k, s)
         for name in policy_names:
             sums[name] += _POLICIES[name](inst.setup, inst.arrivals, s).revenue / inst.realized_opt
     rows = [{"policy": "analytic_bound", "mean_ratio": bounds["ratio"]}]
@@ -201,8 +199,7 @@ def cmd_hotel_sim(args):
         workers=args.workers,
     )
     report = harness.run_experiment(cfg)
-    out = args.out or "hotel_summary.csv"
-    harness.write_summary_csv(report, out)
+    harness.write_summary_csv(report, args.out)
     if args.runs_out:
         harness.write_runs_csv(report, args.runs_out)
     return EXIT_OK

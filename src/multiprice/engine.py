@@ -23,7 +23,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,13 +41,6 @@ FORECAST_MODES = ("one_shot", "resolving", "learning", "clairvoyant")
 # cumulative fraction of eventual arrivals booked, by decreasing days before
 # the occupancy date: none at 35 days out, half at 25, all on the day
 BOOKING_CURVE = ((35.0, 0.0), (25.0, 0.5), (0.0, 1.0))
-
-
-@lru_cache(maxsize=4096)
-def _vf_for(prices):
-    """Value functions are pure in the price tuple; memoize across items
-    and runs (many instances share one price set)."""
-    return build_value_function(PriceSet(prices))
 
 
 def psi(w):
@@ -252,7 +244,7 @@ def _balance_offer(setup, rng_seed, perturbed):
     bid = _price_bids(setup)
     grids = []
     for i, item in enumerate(setup.items):
-        vf = _vf_for(item.priceset.prices)
+        vf = build_value_function(item.priceset)
         if perturbed:
             pvf = build_perturbed(vf, item.k, _stream(rng_seed, i).random())
             bid[i, 1 : vf.m + 1] = [pvf.border_value(j) for j in range(1, vf.m + 1)]
@@ -393,7 +385,7 @@ def run_ranking(setup, arrivals, rng_seed, check_assignments=False):
     fixed uniform seed W, and every customer is assigned the available unit
     maximizing her willingness price minus the unit's value Phi(W)."""
     validate(setup, arrivals, "ranking", "deterministic")
-    vfs = [_vf_for(it.priceset.prices) for it in setup.items]
+    vfs = [build_value_function(it.priceset) for it in setup.items]
     unit_item, unit_w = [], []
     for i, item in enumerate(setup.items):
         unit_item += [i] * item.k
@@ -440,7 +432,7 @@ def run_balance_fractional(setup, arrivals, rng_seed):
     """Balance in the fluid regime: deterministic value functions, bids pay
     and consume fractionally, bids overshooting capacity are truncated."""
     validate(setup, arrivals, "balance_fractional", "fractional")
-    vfs = [_vf_for(it.priceset.prices) for it in setup.items]
+    vfs = [build_value_function(it.priceset) for it in setup.items]
     offer = _Offer(_price_bids(setup), operator.sub, state=np.array([vf.phi(0.0) for vf in vfs]))
     return _fractional_loop(setup, arrivals, offer, Ledger(setup), vfs)
 
@@ -551,8 +543,8 @@ def run_hybrid(setup, arrivals, base="resolving", gamma=1.5, resolve_every=100,
     deterministic value functions) falls below 1/gamma of the best
     achievable, in which case offer the pseudorevenue maximizer instead."""
     validate(setup, arrivals, "hybrid", "assortment")
-    if gamma <= 1.0:
-        raise DomainError("gamma must exceed 1")
+    if not 1.0 < gamma < math.inf:
+        raise DomainError("gamma must exceed 1 and be finite")
     ledger = Ledger(setup)
     forecast_offer = _BidPriceOffer(setup, arrivals, ledger, base, resolve_every, forecast)
     balance_offer, _ = _balance_offer(setup, rng_seed, perturbed=False)

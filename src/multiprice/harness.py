@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import sys
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .choice import default_hotel_model
 from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types
-from .errors import ValidationError
+from .errors import SolverLimitError, ValidationError
 from .lp import solve_choice_lp
 from .valuefn import PriceSet
 
@@ -30,6 +31,9 @@ _TYPE_FLAGS = {
     (0, 0, 0): 0, (0, 0, 1): 1, (0, 1, 0): 2, (0, 1, 1): 3,
     (1, 0, 0): 4, (1, 0, 1): 5, (1, 1, 0): 6, (1, 1, 1): 7,
 }
+
+# a simulated day holds at most this many mean arrivals and units of inventory
+MAX_DAY_SIZE = 1_000_000
 
 _REQUIRED_COLUMNS = (
     "booking_date", "occupancy_date", "nights", "room_category",
@@ -54,10 +58,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
-        if not self.mean_daily_arrivals >= 0:
-            raise ValidationError("mean daily arrivals must be >= 0")
-        if not self.loading_factors or any(lf <= 0 for lf in self.loading_factors):
-            raise ValidationError("need one or more loading factors, all positive")
+        if not 0 <= self.mean_daily_arrivals < math.inf:
+            raise ValidationError("mean daily arrivals must be finite and >= 0")
+        if not self.loading_factors or not all(0 < lf < math.inf for lf in self.loading_factors):
+            raise ValidationError("need one or more loading factors, all positive and finite")
+        if self.mean_daily_arrivals > MAX_DAY_SIZE * min(1.0, *self.loading_factors):
+            raise SolverLimitError("a day of more than %d arrivals or units" % MAX_DAY_SIZE)
 
 
 def _largest_remainder(total, shares):

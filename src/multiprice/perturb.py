@@ -16,16 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, ValidationError
-from .valuefn import PriceSet, ValueFunction, build_value_function
+from .valuefn import PriceSet
 
 # fractional parts this close to an integer are treated as exact multiples
 _FRAC_SNAP = 1e-12
 
-
-def _as_vf(vf_or_prices):
-    if isinstance(vf_or_prices, ValueFunction):
-        return vf_or_prices
-    return build_value_function(vf_or_prices)
+# slack a certification condition may fall short by, relative to the top price
+REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,16 +38,9 @@ class PerturbedValueFunction:
     def m(self):
         return len(self.tilde_borders) - 1
 
-    def value(self, q):
-        """Value at grid point q = N/k."""
-        idx = int(round(q * self.k))
-        if abs(q * self.k - idx) > 1e-9 or not 0 <= idx <= self.k:
-            raise DomainError("q=%r is not a grid point of 1/%d" % (q, self.k))
-        return self.grid_values[idx]
-
     def border_value(self, j):
-        """Value at the rounded border of price level j."""
-        return self.value(self.tilde_borders[j])
+        """Value at the rounded border of price level j, a grid point."""
+        return self.grid_values[round(self.tilde_borders[j] * self.k)]
 
 
 @lru_cache(maxsize=256)
@@ -72,7 +62,6 @@ def round_borders(vf, k, w_seed):
     """Comonotone rounding of all borders to multiples of 1/k: border j
     moves up to (floor(L(j) k) + 1)/k exactly when the shared seed falls
     below its fractional part, else down.  Exact multiples never move."""
-    vf = _as_vf(vf)
     if not isinstance(k, int) or k < 1:
         raise DomainError("k must be a positive integer")
     if not 0.0 <= w_seed < 1.0:
@@ -116,7 +105,6 @@ def _grid_from_borders(vf, k, tilde_borders):
 
 
 def build_perturbed(vf, k, w_seed):
-    vf = _as_vf(vf)
     borders = round_borders(vf, k, w_seed)
     grid = _grid_from_borders(vf, k, borders)
     return PerturbedValueFunction(k=k, tilde_borders=tuple(borders), grid_values=tuple(grid))
@@ -143,7 +131,6 @@ def enumerate_seed_support(vf, k):
     function of the seed with breakpoints at the distinct fractional parts
     of L(j) k, so at most m + 1 seed intervals.  Interval lengths are the
     exact probabilities; no sampling involved."""
-    vf = _as_vf(vf)
     fracs = {frac for _, frac in _floor_frac(vf.borders, k) if frac}
     cuts = [0.0] + sorted(fracs) + [1.0]
     configs = []
@@ -156,12 +143,11 @@ def enumerate_seed_support(vf, k):
     )
 
 
-def single_unit_procedure(priceset):
+def single_unit_procedure(vf):
     """Optimal randomized procedure for a single unit of inventory: with
     probability sigma(d) place every border at 0 up to level d and at 1
     from level d on, valuing the unit at r(d)/sigma(1).  Certifies the
     ratio sigma(1)/2."""
-    vf = _as_vf(priceset)
     m = vf.m
     sigma1 = vf.sigmas[0]
     configs = []
@@ -173,20 +159,19 @@ def single_unit_procedure(priceset):
     return RandomizedProcedure(priceset=vf.priceset, k=1, configurations=tuple(configs))
 
 
-def verify_conditions(proc, priceset, k, c, rel_tol=1e-9):
-    """Check the two certification conditions at ratio c.
+def verify_conditions(proc, c):
+    """Check the two certification conditions of a procedure at ratio c.
 
     Per-step optimality must hold for every configuration, price level j,
     and sold count N below the rounded border; feasibility must hold in
     expectation over the support.  Returns (ok, report) where the report
     carries the minimum slack of each condition (negative slack = violated).
     """
-    if not isinstance(priceset, PriceSet):
-        priceset = PriceSet(priceset)
-    if c <= 0:
-        raise DomainError("c must be positive")
+    priceset, k = proc.priceset, proc.k
+    if not 0.0 < c < math.inf:
+        raise DomainError("c must be positive and finite")
     m = priceset.m
-    tol = rel_tol * priceset.price(m)
+    tol = REL_TOL * priceset.price(m)
 
     min_opt = math.inf
     for _, pvf in proc.configurations:
@@ -217,12 +202,11 @@ def verify_conditions(proc, priceset, k, c, rel_tol=1e-9):
     return ok, report
 
 
-def certified_lower_bounds(priceset, k):
+def certified_lower_bounds(vf, k):
     """The three certified lower bounds on the best achievable ratio for an
     item with inventory k: the rounding-based bound, the single-unit bound
     G/2, and the improved single-price bound.  Returns a dict; the overall
     certificate is the max of the applicable values."""
-    vf = _as_vf(priceset)
     bounds = {
         "perturbation": vf.F / ((1.0 + k) * math.expm1(1.0 / k)),
         "single_unit": vf.G / 2.0,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, InvalidPriceSet, InvalidRange
 
@@ -21,7 +22,7 @@ BORDER_SNAP = 1e-15
 
 @dataclass(frozen=True)
 class PriceSet:
-    """Strictly increasing positive prices of one item.
+    """Strictly increasing positive finite prices of one item.
 
     The implicit price r(0) = 0 is never stored.
     """
@@ -35,8 +36,8 @@ class PriceSet:
     def _validate(self):
         if len(self.prices) < 1:
             raise InvalidPriceSet("need at least one price")
-        if self.prices[0] <= 0.0:
-            raise InvalidPriceSet("prices must be strictly positive")
+        if not (self.prices[0] > 0.0 and self.prices[-1] < math.inf):
+            raise InvalidPriceSet("prices must be strictly positive and finite")
         for lo, hi in zip(self.prices, self.prices[1:]):
             if not hi > lo:
                 raise InvalidPriceSet(
@@ -56,7 +57,7 @@ class PriceSet:
         return [self.price(j - 1) / self.price(j) for j in range(1, self.m + 1)]
 
 
-def solve_alphas(priceset, tol=1e-12):
+def solve_alphas(priceset):
     """Booking limits alpha(1)..alpha(m): the unique positive solution with
     sum 1 of the equal-ratio system linking 1 - e^{-alpha(j)} across
     consecutive price ratios.
@@ -66,10 +67,6 @@ def solve_alphas(priceset, tol=1e-12):
     and strictly increasing in gamma(1), so the root of product = 1/e is
     unique.  The remaining gamma(j) follow in closed form.
     """
-    if not isinstance(priceset, PriceSet):
-        priceset = PriceSet(priceset)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     rhos = priceset.ratios()  # rho_1 = 0
 
     def product(g1):
@@ -86,7 +83,7 @@ def solve_alphas(priceset, tol=1e-12):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= min(tol, 5e-16):
+        if hi - lo <= 5e-16:
             break
     g1 = 0.5 * (lo + hi)
     gammas = [(1.0 - rho) * g1 + rho for rho in rhos]
@@ -96,8 +93,6 @@ def solve_alphas(priceset, tol=1e-12):
 def solve_sigmas(priceset):
     """Single-item booking limits sigma(1)..sigma(m), in closed form:
     sigma(j) proportional to 1 - r(j-1)/r(j), normalized to sum 1."""
-    if not isinstance(priceset, PriceSet):
-        priceset = PriceSet(priceset)
     weights = [1.0 - rho for rho in priceset.ratios()]
     total = sum(weights)
     return [w / total for w in weights]
@@ -126,26 +121,23 @@ class ValueFunction:
     def segment(self, w):
         """Index j of the half-open segment [L(j-1), L(j)) containing w,
         with segment(1) = m."""
-        w = self._clamp(w)
-        j = bisect.bisect_right(self.borders, w)
-        return min(j, self.m)
+        return self._locate(w)[1]
 
-    def _clamp(self, w):
-        if -BORDER_SNAP <= w < 0.0:
-            return 0.0
-        if 1.0 < w <= 1.0 + BORDER_SNAP:
-            return 1.0
-        if w < 0.0 or w > 1.0:
+    def _locate(self, w):
+        """(w, segment of w), with w snapped onto [0, 1] and onto any border
+        within BORDER_SNAP of it."""
+        if not -BORDER_SNAP <= w <= 1.0 + BORDER_SNAP:
             raise DomainError("w=%r outside [0, 1]" % (w,))
+        w = min(max(w, 0.0), 1.0)
         for b in self.borders:
             if abs(w - b) <= BORDER_SNAP:
-                return b
-        return w
+                w = b
+                break
+        return w, min(bisect.bisect_right(self.borders, w), self.m)
 
     def phi(self, w):
         """Bid price at fraction sold w."""
-        w = self._clamp(w)
-        j = self.segment(w)
+        w, j = self._locate(w)
         r_lo = self.priceset.price(j - 1)
         r_hi = self.priceset.price(j)
         a = self.alphas[j - 1]
@@ -153,17 +145,25 @@ class ValueFunction:
 
     def phi_prime(self, w):
         """Right derivative of phi (left derivative at w = 1)."""
-        w = self._clamp(w)
-        j = self.segment(w)
+        w, j = self._locate(w)
         r_lo = self.priceset.price(j - 1)
         r_hi = self.priceset.price(j)
         a = self.alphas[j - 1]
         return (r_hi - r_lo) * math.exp(w - self.borders[j - 1]) / math.expm1(a)
 
 
-def build_value_function(priceset):
-    if not isinstance(priceset, PriceSet):
-        priceset = PriceSet(priceset)
+def build_value_function(prices):
+    """The value function of a price list or PriceSet, the one way into this
+    layer.  Memoized on the price tuple, which hashes faster than a PriceSet,
+    as items and runs share a few price sets."""
+    if isinstance(prices, PriceSet):
+        return _value_function(prices.prices)
+    return _value_function(tuple(prices))
+
+
+@lru_cache(maxsize=4096)
+def _value_function(prices):
+    priceset = PriceSet(prices)
     alphas = solve_alphas(priceset)
     sigmas = solve_sigmas(priceset)
     borders = [0.0]

@@ -150,24 +150,24 @@ def test_criterion_05_certification_tightness():
         vf = build_value_function(probe)
         c = certified_lower_bounds(vf, k)["perturbation"]
         proc = enumerate_seed_support(vf, k)
-        passed, _ = verify_conditions(proc, probe, k, c)
-        failed, _ = verify_conditions(proc, probe, k, c * 1.05)
+        passed, _ = verify_conditions(proc, c)
+        failed, _ = verify_conditions(proc, c * 1.05)
         ok = ok and passed and not failed
         # improved single-price certificate
         vf1 = build_value_function(single)
         c1 = certified_lower_bounds(vf1, k)["single_price"]
         proc1 = enumerate_seed_support(vf1, k)
-        passed1, _ = verify_conditions(proc1, single, k, c1)
-        failed1, _ = verify_conditions(proc1, single, k, c1 * 1.05)
+        passed1, _ = verify_conditions(proc1, c1)
+        failed1, _ = verify_conditions(proc1, c1 * 1.05)
         ok = ok and passed1 and not failed1
         notes.append("k=%d" % k)
     # k=1 closed form G/2 via the optimal single-unit procedure
     for prices in ([250.0, 750.0], [1.0, 3.0], [10.0, 20.0, 80.0]):
         ps = PriceSet(prices)
         vf = build_value_function(ps)
-        proc = single_unit_procedure(ps)
-        passed, _ = verify_conditions(proc, ps, 1, vf.G / 2.0)
-        failed, _ = verify_conditions(proc, ps, 1, vf.G / 2.0 * 1.05)
+        proc = single_unit_procedure(vf)
+        passed, _ = verify_conditions(proc, vf.G / 2.0)
+        failed, _ = verify_conditions(proc, vf.G / 2.0 * 1.05)
         ok = ok and passed and not failed
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
@@ -180,7 +180,7 @@ def test_criterion_05_certification_tightness():
 def test_criterion_06_single_unit_pincer():
     t0 = time.perf_counter()
     prices = [1.0, 3.0]
-    F = build_value_function(prices).F
+    vf = build_value_function(prices)
     policies = (
         ("ranking", run_ranking),
         ("balance", run_balance),
@@ -191,7 +191,7 @@ def test_criterion_06_single_unit_pincer():
     sums = {name: 0.0 for name, _ in policies}
     n_seeds = 1000
     for s in range(n_seeds):
-        inst = build_instance(prices, 500, 1, s)
+        inst = build_instance(vf, 500, 1, s)
         opt = inst.realized_opt
         for name, fn in policies:
             sums[name] += fn(inst.setup, inst.arrivals, s).revenue / opt
@@ -202,20 +202,21 @@ def test_criterion_06_single_unit_pincer():
     ok = ok and elapsed < 120.0
     report(6, ok,
            "ranking %.4f in [0.436, 0.496] (F=%.4f); max policy %.4f <= 0.486; "
-           "%.1fs" % (means["ranking"], F, max(means.values()), elapsed))
+           "%.1fs" % (means["ranking"], vf.F, max(means.values()), elapsed))
 
 
 @pytest.mark.slow
 def test_criterion_07_multi_unit_ratio():
+    vf, vf1 = build_value_function([1.0, 3.0]), build_value_function([5.0])
     sums = 0.0
     n_seeds = 200
     for s in range(n_seeds):
-        inst = build_instance([1.0, 3.0], 200, 100, s)
+        inst = build_instance(vf, 200, 100, s)
         sums += run_balance(inst.setup, inst.arrivals, s).revenue / inst.realized_opt
     mean = sums / n_seeds
     sums1 = 0.0
     for s in range(n_seeds):
-        inst = build_instance([5.0], 200, 100, s)
+        inst = build_instance(vf1, 200, 100, s)
         sums1 += run_balance(inst.setup, inst.arrivals, s).revenue / inst.realized_opt
     mean1 = sums1 / n_seeds
     ok = 0.436 <= mean <= 0.496 and abs(mean1 - (1.0 - 1.0 / math.e)) <= 0.03

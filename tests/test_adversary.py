@@ -19,15 +19,17 @@ from multiprice import (
 
 from test_valuefn import random_priceset
 
+VF13 = build_value_function([1.0, 3.0])
+
 
 class TestSolveBetas:
     def test_single_price(self):
-        B, betas = solve_betas(PriceSet([5.0]))
+        B, betas = solve_betas(build_value_function([5.0]))
         assert B == [1.0]
         assert betas == [1.0]
 
     def test_1_3(self):
-        B, betas = solve_betas(PriceSet([1.0, 3.0]))
+        B, betas = solve_betas(VF13)
         assert B[0] == 1.0
         assert B[1] == pytest.approx(0.2582, abs=1e-4)
         assert sum(betas) == pytest.approx(1.0, abs=1e-12)
@@ -36,12 +38,12 @@ class TestSolveBetas:
         rng = np.random.default_rng(89)
         for _ in range(50):
             ps = random_priceset(rng, m_max=5)
-            B, betas = solve_betas(ps)
+            vf = build_value_function(ps)
+            B, betas = solve_betas(vf)
             assert all(a > b for a, b in zip(B, B[1:]))
             assert all(x > 0 for x in betas)
             assert sum(betas) == pytest.approx(1.0, abs=1e-12)
             # recursion consistency: r(j) B_j e^{-alpha_j} is constant
-            vf = build_value_function(ps)
             consts = [
                 ps.price(j + 1) * B[j] * math.exp(-vf.alphas[j])
                 for j in range(ps.m)
@@ -55,20 +57,20 @@ class TestAnalyticBounds:
         for _ in range(50):
             ps = random_priceset(rng, m_max=5)
             vf = build_value_function(ps)
-            bounds = analytic_bounds(ps, 100, 3)
+            bounds = analytic_bounds(vf, 100, 3)
             assert bounds["ratio"] == pytest.approx(vf.F, abs=1e-12)
             assert bounds["online_ub"] < bounds["opt"]
 
     def test_scaling(self):
-        a = analytic_bounds([1.0, 3.0], 10, 1)
-        b = analytic_bounds([1.0, 3.0], 20, 2)
+        a = analytic_bounds(VF13, 10, 1)
+        b = analytic_bounds(VF13, 20, 2)
         assert b["opt"] == pytest.approx(4 * a["opt"], abs=1e-9)
         assert b["ratio"] == pytest.approx(a["ratio"], abs=1e-12)
 
 
 class TestBuildInstance:
     def test_structure(self):
-        inst = build_instance([1.0, 3.0], 20, 2, 0)
+        inst = build_instance(VF13, 20, 2, 0)
         assert inst.setup.n == 20
         willing = np.asarray(inst.arrivals.willing)
         assert willing.shape == (40, 20)
@@ -83,48 +85,47 @@ class TestBuildInstance:
         assert sorted(inst.permutation) == list(range(20))
 
     def test_phase_sizes_match_betas(self):
-        inst = build_instance([1.0, 3.0], 200, 1, 3)
+        inst = build_instance(VF13, 200, 1, 3)
         n1 = sum(1 for p in inst.group_phases if p == 1)
-        _, betas = solve_betas(PriceSet([1.0, 3.0]))
+        _, betas = solve_betas(VF13)
         assert n1 == round(betas[0] * 200)
 
     def test_realized_opt_matches_lp(self):
         for seed in range(5):
-            inst = build_instance([1.0, 3.0], 8, 2, seed)
+            inst = build_instance(VF13, 8, 2, seed)
             sol = solve_primal(inst.setup, inst.arrivals)
             assert sol.objective == pytest.approx(inst.realized_opt, abs=1e-6)
 
     def test_deterministic_in_seed(self):
-        a = build_instance([1.0, 3.0], 15, 1, 42)
-        b = build_instance([1.0, 3.0], 15, 1, 42)
+        a = build_instance(VF13, 15, 1, 42)
+        b = build_instance(VF13, 15, 1, 42)
         assert a.permutation == b.permutation
-        c = build_instance([1.0, 3.0], 15, 1, 43)
+        c = build_instance(VF13, 15, 1, 43)
         assert a.permutation != c.permutation
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            build_instance([1.0, 3.0], 10, 0, 0)
+            build_instance(VF13, 10, 0, 0)
         with pytest.raises(DomainError):
-            build_instance([1.0, 2.0, 4.0], 2, 1, 0)
+            build_instance(build_value_function([1.0, 2.0, 4.0]), 2, 1, 0)
 
     def test_realized_opt_near_analytic(self):
         n = 200
-        inst = build_instance([1.0, 3.0], n, 1, 0)
-        bounds = analytic_bounds([1.0, 3.0], n, 1)
+        inst = build_instance(VF13, n, 1, 0)
+        bounds = analytic_bounds(VF13, n, 1)
         # rounding the phase boundary moves the optimum by at most one group
         assert abs(inst.realized_opt - bounds["opt"]) <= 3.0
 
     def test_policy_between_bounds(self):
         # sanity on a mid-size instance: balance lands below the hindsight
         # optimum and above half the guarantee
-        inst = build_instance([1.0, 3.0], 100, 1, 1)
+        inst = build_instance(VF13, 100, 1, 1)
         revs = [
             run_balance(inst.setup, inst.arrivals, s).revenue for s in range(20)
         ]
         mean_ratio = float(np.mean(revs)) / inst.realized_opt
-        vf = build_value_function(PriceSet([1.0, 3.0]))
         assert mean_ratio < 1.0
-        assert mean_ratio > vf.F / 2.0
+        assert mean_ratio > VF13.F / 2.0
 
 
 class TestOnlineBoundOracle:
@@ -137,7 +138,7 @@ class TestOnlineBoundOracle:
         for prices in ([1.0, 3.0], [2.0, 5.0, 11.0], [1.0, 1.5, 4.0, 9.0]):
             ps = PriceSet(prices)
             vf = build_value_function(ps)
-            B, _ = solve_betas(ps)
+            B, _ = solve_betas(vf)
             m = ps.m
             coeff = [ps.price(j + 1) * B[j] for j in range(m)]
 
@@ -155,6 +156,6 @@ class TestOnlineBoundOracle:
                                options={"maxiter": 200, "ftol": 1e-14})
                 if res.success and -res.fun > best:
                     best, best_x = -res.fun, res.x
-            bounds = analytic_bounds(ps, 1, 1)
+            bounds = analytic_bounds(vf, 1, 1)
             assert best == pytest.approx(bounds["online_ub"], abs=1e-6)
             assert best_x == pytest.approx(list(vf.alphas), abs=1e-4)

@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from multiprice.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from multiprice.harness import CSV_SCHEMA_HEADER
+from multiprice.valuefn import _value_function
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +192,15 @@ MALFORMED.update({
             {**json.loads(deterministic_text([[1]])), "policies": [["balance"]]})))],
     "unwritable-out": lambda tmp_path: ["--out", str(tmp_path / "no-dir" / "vf.json"),
                                         "valuefn", "--prices", "1"],
+    # NaN and infinity fail every numeric check
+    "valuefn-prices-nan": lambda tmp_path: ["valuefn", "--prices", "nan"],
+    "valuefn-prices-inf": lambda tmp_path: ["valuefn", "--prices", "1,inf"],
+    "perturb-c-nan": lambda tmp_path: ["perturb", "verify", "--prices", "1,3", "--c", "nan"],
+    "hotel-sim-gamma-nan": lambda tmp_path: ["--trials", "1", "--out", str(tmp_path / "s.csv"),
+                                             "hotel-sim", "--days", "1", "--arrivals", "12",
+                                             "--gamma", "nan"],
+    "hotel-sim-arrivals-inf": lambda tmp_path: ["hotel-sim", "--arrivals", "inf"],
+    "hotel-sim-loading-factors-nan": lambda tmp_path: ["hotel-sim", "--loading-factors", "nan"],
 })
 
 
@@ -268,6 +281,13 @@ class TestAdversary:
         assert code == EXIT_OK
         assert "ranking" not in [r["policy"] for r in read_csv_text(out)]
 
+    def test_one_value_function_build_per_command(self, capsys):
+        _value_function.cache_clear()
+        code, _, _ = run_cli(capsys, "--trials", "3", "adversary", "--prices", "1,3",
+                             "--n", "10")
+        assert code == EXIT_OK
+        assert _value_function.cache_info().misses == 1
+
 
 class TestHotelSim:
     def test_small_run(self, tmp_path, capsys):
@@ -289,6 +309,21 @@ class TestHotelSim:
             assert 0.0 <= float(r["mean_ratio"]) <= 1.0 + 1e-9
         assert runs_path.exists()
 
+    def test_summary_to_stdout_without_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "--trials", "1", "hotel-sim", "--days", "1",
+                               "--arrivals", "12", "--loading-factors", "1.6")
+        assert code == EXIT_OK
+        assert len(read_csv_text(out)) == 8  # one row per policy of the suite
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--arrivals", "1e300"],
+                                      ["--arrivals", "30", "--loading-factors", "1e-9"]])
+    def test_oversized_day_is_a_solver_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, "hotel-sim", "--days", "1", *argv)
+        assert code == EXIT_SOLVER
+        assert err.startswith("solver limit:") and out == ""
+
     def test_workers_match_single_process(self, tmp_path, capsys):
         runs = {}
         for workers in ("1", "2"):
@@ -300,3 +335,119 @@ class TestHotelSim:
             )
             assert code == EXIT_OK
         assert runs["2"].read_bytes() == runs["1"].read_bytes()
+
+
+# -- generated argv ------------------------------------------------------------
+
+# any float, NaN, infinities and negatives included, or a plausible one
+FLOATS = st.one_of(st.floats(), st.floats(0.5, 50.0))
+PRICE_LISTS = st.one_of(st.lists(FLOATS, max_size=4),
+                        st.lists(st.floats(0.5, 50.0), min_size=1, max_size=3,
+                                 unique=True).map(sorted))
+COUNTS = st.integers(-1, 3)
+
+
+@st.composite
+def fitting_instances(draw):
+    """Instances whose arrivals fit their items."""
+    items = draw(st.lists(st.fixed_dictionaries({"k": st.integers(1, 3), "prices": PRICE_LISTS}),
+                          min_size=1, max_size=3))
+    ms = [len(it["prices"]) for it in items]
+    rows = range(draw(st.integers(0, 6)))
+    if draw(st.booleans()):
+        arrivals = {"kind": "deterministic",
+                    "willing": [[draw(st.integers(0, m)) for m in ms] for _ in rows]}
+    else:
+        arrivals = {"kind": "single_offer",
+                    "probs": [[[draw(st.floats(0.0, 1.0)) for _ in range(m)] for m in ms]
+                              for _ in rows]}
+    return {"setup": {"items": items}, "arrivals": arrivals}
+
+
+INSTANCES = st.one_of(fitting_instances(), st.fixed_dictionaries(
+    {"setup": st.fixed_dictionaries({"items": st.lists(st.fixed_dictionaries(
+        {"k": st.one_of(COUNTS, FLOATS), "prices": PRICE_LISTS}), max_size=3)}),
+     "arrivals": st.one_of(
+         st.fixed_dictionaries({"kind": st.just("deterministic"), "willing": st.lists(
+             st.lists(st.integers(-1, 4), max_size=3), max_size=6)}),
+         st.fixed_dictionaries({"kind": st.just("single_offer"), "probs": st.lists(
+             st.lists(st.lists(FLOATS, max_size=3), max_size=3), max_size=4)}),
+         st.fixed_dictionaries({"kind": st.sampled_from(["fractional", "assortment", "x"])}))},
+    optional={"trials": st.one_of(st.integers(-1, 2), FLOATS),
+              "seed": st.one_of(st.integers(-1, 2**70), FLOATS),
+              "policies": st.lists(st.sampled_from(
+                  ["balance", "ranking", "myopic", "conservative", "gnr", "x"]), max_size=3)}))
+
+
+def opt(name, values):
+    """[--name=value] or [] (the = form lets a value such as -inf reach the
+    option's own check)."""
+    return st.one_of(st.just([]), values.map(lambda v: ["--%s=%s" % (name, v)]))
+
+
+def prices_text(prices):
+    return ",".join(repr(float(r)) for r in prices)
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv with a {tmp} placeholder for paths, instance JSON or None)."""
+    argv = draw(opt("seed", st.integers(-1, 2**70))) + draw(opt("trials", st.integers(-1, 2)))
+    argv += ["--out={tmp}/out"]
+    command = draw(st.sampled_from(
+        ["valuefn", "perturb", "simulate", "lp-bound", "adversary", "hotel-sim"]))
+    prices = ["--prices=" + prices_text(draw(PRICE_LISTS))]
+    raw = None
+    if command == "valuefn":
+        argv += ["valuefn"] + prices + draw(opt("grid", st.integers(-1, 5)))
+    elif command == "perturb":
+        argv += ["perturb", "verify"] + prices + draw(opt("k", COUNTS)) + draw(opt("c", FLOATS))
+        argv += draw(st.sampled_from([[], ["--single-unit"]]))
+    elif command in ("simulate", "lp-bound"):
+        raw = draw(INSTANCES)
+        argv += [command, ("--config=" if command == "simulate" else "--instance=")
+                 + "{tmp}/instance.json"]
+    elif command == "adversary":
+        argv += ["adversary"] + prices
+        argv += draw(opt("n", st.integers(-1, 8))) + draw(opt("k", COUNTS))
+    else:
+        arrivals = st.one_of(st.floats(max_value=30.0), st.floats(0.0, 30.0),
+                             st.sampled_from([math.nan, math.inf, -math.inf]))
+        argv += ["hotel-sim", "--days=1", "--arrivals=%r" % draw(arrivals)]
+        argv += draw(opt("loading-factors", st.lists(FLOATS, max_size=3).map(prices_text)))
+        argv += draw(opt("gamma", FLOATS)) + draw(opt("workers", st.integers(-1, 2)))
+        argv += draw(st.sampled_from([[], ["--fare-diff"]]))
+        argv += draw(st.sampled_from([[], ["--runs-out={tmp}/runs.csv"]]))
+    return argv, raw
+
+
+class TestGeneratedArgv:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(case=(["--out={tmp}/out", "valuefn", "--prices=nan"], None))
+    @example(case=(["--out={tmp}/out", "perturb", "verify", "--prices=1,3", "--c=nan"], None))
+    @example(case=(["--out={tmp}/out", "--trials=1", "hotel-sim", "--days=1",
+                    "--arrivals=inf"], None))
+    @given(case=cli_argv())
+    def test_exit_code_and_stderr(self, tmp_path, capsys, case):
+        # every input ends in exit 0, a validation error (2) or a solver
+        # limit (3); stderr holds nothing but those errors' one-line reports
+        # or argparse's own usage text
+        template, raw = case
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in template]
+        if raw is not None:
+            (tmp_path / "instance.json").write_text(json.dumps(raw))
+        try:
+            code = main(argv)
+            usage = False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER)
+        if usage:
+            assert code == EXIT_VALIDATION
+            assert err.startswith("usage: ") and ": error: " in err.splitlines()[-1]
+        else:
+            assert (code == EXIT_OK) == (err == "")
+            assert all(line.startswith(("error: ", "solver limit: "))
+                       for line in err.splitlines())

@@ -279,7 +279,8 @@ class TestInvariants:
             res = run_balance(setup, arrivals, 7, duals_trace=True)
             for t, i, delta, z, price in res.duals_trace:
                 item = setup.items[i]
-                c = certified_lower_bounds(item.priceset, item.k)["perturbation"]
+                vf = build_value_function(item.priceset)
+                c = certified_lower_bounds(vf, item.k)["perturbation"]
                 assert delta + z <= price / c + 1e-7
 
     def test_ranking_assignment_bound(self):

@@ -26,6 +26,7 @@ from multiprice import (
     PriceSet,
     Setup,
     build_instance,
+    build_value_function,
     generate_hotel_ensemble,
     run_balance,
     run_balance_assortment,
@@ -84,7 +85,7 @@ def instance(name):
                             for _ in range(60)])
         return Setup(items=items), ArrivalSequence(kind="deterministic", willing=willing)
     if name == "det_adversary":
-        inst = build_instance([1.0, 3.0], 12, 2, 5)
+        inst = build_instance(build_value_function([1.0, 3.0]), 12, 2, 5)
         return inst.setup, inst.arrivals
     if name in ("single_offer", "fractional"):
         rng = np.random.default_rng(1002 if name == "single_offer" else 1003)

@@ -119,14 +119,14 @@ class TestPerturbedValues:
         k = 1000000  # borders round by < 1e-6, values nearly ideal
         pvf = build_perturbed(vf, k, 0.5)
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert pvf.value(q) == pytest.approx(vf.phi(q), abs=1e-3)
+            assert pvf.grid_values[round(q * k)] == pytest.approx(vf.phi(q), abs=1e-3)
 
     def test_top_value_and_zero(self):
         vf = build_value_function([1.0, 2.0, 4.0])
         for w in (0.1, 0.6, 0.95):
             pvf = build_perturbed(vf, 5, w)
-            assert pvf.value(0.0) == 0.0
-            assert pvf.value(1.0) == pytest.approx(4.0, rel=0.5)
+            assert pvf.grid_values[0] == 0.0
+            assert pvf.grid_values[-1] == pytest.approx(4.0, rel=0.5)
 
     def test_monotone_grid(self):
         rng = np.random.default_rng(37)
@@ -158,15 +158,10 @@ class TestPerturbedValues:
             g = pvf.grid_values
             assert all(a <= b + 1e-12 for a, b in zip(g, g[1:]))
 
-    def test_value_rejects_off_grid(self):
-        pvf = build_perturbed(build_value_function([1.0]), 4, 0.3)
-        with pytest.raises(DomainError):
-            pvf.value(0.3)
-
 
 class TestSingleUnit:
     def test_structure(self):
-        proc = single_unit_procedure(PriceSet([250.0, 750.0]))
+        proc = single_unit_procedure(build_value_function([250.0, 750.0]))
         assert proc.k == 1
         assert len(proc.configurations) == 2
         rhos = [rho for rho, _ in proc.configurations]
@@ -176,49 +171,113 @@ class TestSingleUnit:
         assert tops[1] == pytest.approx(750.0 / 0.6, abs=1e-9)
 
     def test_certifies_G_over_2(self):
-        ps = PriceSet([250.0, 750.0])
-        vf = build_value_function(ps)
-        proc = single_unit_procedure(ps)
-        ok, report = verify_conditions(proc, ps, 1, vf.G / 2.0)
+        vf = build_value_function([250.0, 750.0])
+        proc = single_unit_procedure(vf)
+        ok, report = verify_conditions(proc, vf.G / 2.0)
         assert ok
         # the bound is tight: both conditions hold with (near) zero slack
         assert report["feasibility_min_slack"] == pytest.approx(0.0, abs=1e-9)
-        ok_inflated, _ = verify_conditions(proc, ps, 1, vf.G / 2.0 * 1.01)
+        ok_inflated, _ = verify_conditions(proc, vf.G / 2.0 * 1.01)
         assert not ok_inflated
 
     def test_random_sets(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
-            ps = random_priceset(rng, m_max=5)
-            vf = build_value_function(ps)
-            ok, _ = verify_conditions(
-                single_unit_procedure(ps), ps, 1, vf.G / 2.0
-            )
+            vf = build_value_function(random_priceset(rng, m_max=5))
+            ok, _ = verify_conditions(single_unit_procedure(vf), vf.G / 2.0)
             assert ok
+
+
+def parent_border_value(pvf, j):
+    """PerturbedValueFunction.border_value as it was, through value(q)."""
+    q = pvf.tilde_borders[j]
+    idx = int(round(q * pvf.k))
+    if abs(q * pvf.k - idx) > 1e-9 or not 0 <= idx <= pvf.k:
+        raise DomainError("q=%r is not a grid point of 1/%d" % (q, pvf.k))
+    return pvf.grid_values[idx]
+
+
+def parent_verify_conditions(proc, priceset, k, c, rel_tol=1e-9):
+    """verify_conditions as it was, when the caller passed the price set and
+    k; border values through parent_border_value."""
+    if not isinstance(priceset, PriceSet):
+        priceset = PriceSet(priceset)
+    if c <= 0:
+        raise DomainError("c must be positive")
+    m = priceset.m
+    tol = rel_tol * priceset.price(m)
+
+    min_opt = math.inf
+    for _, pvf in proc.configurations:
+        grid = pvf.grid_values
+        for j in range(1, m + 1):
+            border_val = parent_border_value(pvf, j)
+            n_max = int(round(pvf.tilde_borders[j] * k))
+            for n_sold in range(n_max):
+                lhs = k * (grid[n_sold + 1] - grid[n_sold]) + border_val - grid[n_sold]
+                min_opt = min(min_opt, priceset.price(j) / c - lhs)
+
+    min_feas = math.inf
+    feas_slacks = []
+    for j in range(1, m + 1):
+        expected = sum(rho * parent_border_value(pvf, j) for rho, pvf in proc.configurations)
+        slack = expected - priceset.price(j)
+        feas_slacks.append(slack)
+        min_feas = min(min_feas, slack)
+
+    ok = min_opt >= -tol and min_feas >= -tol
+    report = {
+        "ok": ok,
+        "c": c,
+        "optimality_min_slack": min_opt,
+        "feasibility_min_slack": min_feas,
+        "feasibility_slacks": feas_slacks,
+    }
+    return ok, report
+
+
+def hexed(report):
+    return {key: ([x.hex() for x in v] if isinstance(v, list) else
+                  v.hex() if isinstance(v, float) else v) for key, v in report.items()}
 
 
 class TestVerifier:
+    def test_bit_identical_to_parent(self):
+        # the procedure's own price set and k give the slacks the caller's
+        # (priceset, k) gave, on both sides of the certified bound
+        rng = np.random.default_rng(47)
+        oks = set()
+        for _ in range(60):
+            vf = build_value_function(random_priceset(rng, m_max=5))
+            k = int(rng.integers(1, 61))
+            for proc in (enumerate_seed_support(vf, k), single_unit_procedure(vf)):
+                best = certified_lower_bounds(vf, proc.k)["best"]
+                for c in (0.5 * best, best, 1.05 * best, 2.0 * best):
+                    ok, report = verify_conditions(proc, c)
+                    _, old = parent_verify_conditions(proc, proc.priceset, proc.k, c)
+                    assert hexed(report) == hexed(old)
+                    oks.add(ok)
+        assert oks == {True, False}
+
     def test_certified_bounds_pass(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            ps = random_priceset(rng, m_max=4)
-            vf = build_value_function(ps)
+            vf = build_value_function(random_priceset(rng, m_max=4))
             k = int(rng.integers(1, 12))
             c = certified_lower_bounds(vf, k)["perturbation"]
-            ok, _ = verify_conditions(enumerate_seed_support(vf, k), ps, k, c)
+            ok, _ = verify_conditions(enumerate_seed_support(vf, k), c)
             assert ok
 
     def test_single_price_improved_bound(self):
-        ps = PriceSet([100.0])
-        vf = build_value_function(ps)
+        vf = build_value_function([100.0])
         for k in (1, 2, 5, 10, 100):
             bounds = certified_lower_bounds(vf, k)
             c = bounds["single_price"]
             assert c > bounds["perturbation"] - 1e-12
             proc = enumerate_seed_support(vf, k)
-            ok, _ = verify_conditions(proc, ps, k, c)
+            ok, _ = verify_conditions(proc, c)
             assert ok
-            ok_inflated, _ = verify_conditions(proc, ps, k, c * 1.05)
+            ok_inflated, _ = verify_conditions(proc, c * 1.05)
             assert not ok_inflated
 
     def test_bounds_k1_closed_form(self):
@@ -229,10 +288,15 @@ class TestVerifier:
         assert b["best"] >= b["perturbation"]
 
     def test_rejects_nonpositive_c(self):
-        ps = PriceSet([1.0])
-        proc = single_unit_procedure(ps)
+        proc = single_unit_procedure(build_value_function([1.0]))
         with pytest.raises(DomainError):
-            verify_conditions(proc, ps, 1, 0.0)
+            verify_conditions(proc, 0.0)
+
+    @pytest.mark.parametrize("c", [-0.5, math.nan, math.inf])
+    def test_rejects_c_not_finite_positive(self, c):
+        proc = single_unit_procedure(build_value_function([1.0]))
+        with pytest.raises(DomainError):
+            verify_conditions(proc, c)
 
     def test_procedure_validation(self):
         pvf = PerturbedValueFunction(

@@ -1,6 +1,7 @@
 """Value-function construction: solver residuals, closed forms, and the
 inequality suite relating the discrete and continuum ratios."""
 
+import bisect
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from multiprice import (
     solve_sigmas,
     two_price_F,
 )
+from multiprice.valuefn import BORDER_SNAP, _value_function
 
 
 def random_priceset(rng, m_max=6, ratio_max=100.0):
@@ -44,6 +46,11 @@ class TestPriceSet:
             PriceSet([0.0, 1.0])
         with pytest.raises(InvalidPriceSet):
             PriceSet([-1.0, 1.0])
+
+    @pytest.mark.parametrize("prices", [[math.nan], [math.inf], [1.0, math.inf]])
+    def test_rejects_nonfinite(self, prices):
+        with pytest.raises(InvalidPriceSet):
+            PriceSet(prices)
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidPriceSet):
@@ -72,10 +79,6 @@ class TestSolveAlphas:
         expected = 1.0 - (math.sqrt(1.0 + 24.0 / math.e) - 1.0) / 4.0
         assert vf.F == pytest.approx(expected, abs=1e-9)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(DomainError):
-            solve_alphas(PriceSet([1.0]), tol=0.0)
-
     def test_residuals_random(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -87,13 +90,6 @@ class TestSolveAlphas:
                 for j in range(1, ps.m + 1)
             ]
             assert max(vals) - min(vals) < 1e-10
-
-    def test_uniqueness_under_bracket_perturbation(self):
-        # re-running from a slightly shrunk bracket hits the same root
-        ps = PriceSet([2.0, 5.0, 11.0])
-        a1 = solve_alphas(ps, tol=1e-12)
-        a2 = solve_alphas(ps, tol=1e-13)
-        assert np.allclose(a1, a2, atol=2e-12)
 
 
 class TestSolveSigmas:
@@ -170,6 +166,89 @@ class TestPhi:
         vf = build_value_function([2.0, 3.0, 10.0])
         for w in np.linspace(0, 1, 23):
             assert vf.phi_prime(w) > 0
+
+
+class ParentValueFunction:
+    """segment, _clamp, phi and phi_prime of a ValueFunction as they were
+    before phi and phi_prime shared one clamp and one segment lookup."""
+
+    def __init__(self, vf):
+        self.priceset, self.alphas, self.borders, self.m = (
+            vf.priceset, vf.alphas, vf.borders, vf.m)
+
+    def segment(self, w):
+        """Index j of the half-open segment [L(j-1), L(j)) containing w,
+        with segment(1) = m."""
+        w = self._clamp(w)
+        j = bisect.bisect_right(self.borders, w)
+        return min(j, self.m)
+
+    def _clamp(self, w):
+        if -BORDER_SNAP <= w < 0.0:
+            return 0.0
+        if 1.0 < w <= 1.0 + BORDER_SNAP:
+            return 1.0
+        if w < 0.0 or w > 1.0:
+            raise DomainError("w=%r outside [0, 1]" % (w,))
+        for b in self.borders:
+            if abs(w - b) <= BORDER_SNAP:
+                return b
+        return w
+
+    def phi(self, w):
+        """Bid price at fraction sold w."""
+        w = self._clamp(w)
+        j = self.segment(w)
+        r_lo = self.priceset.price(j - 1)
+        r_hi = self.priceset.price(j)
+        a = self.alphas[j - 1]
+        return r_lo + (r_hi - r_lo) * math.expm1(w - self.borders[j - 1]) / math.expm1(a)
+
+    def phi_prime(self, w):
+        """Right derivative of phi (left derivative at w = 1)."""
+        w = self._clamp(w)
+        j = self.segment(w)
+        r_lo = self.priceset.price(j - 1)
+        r_hi = self.priceset.price(j)
+        a = self.alphas[j - 1]
+        return (r_hi - r_lo) * math.exp(w - self.borders[j - 1]) / math.expm1(a)
+
+
+class TestSharedLookup:
+    def test_phi_bit_identical_to_parent(self):
+        rng = np.random.default_rng(131)
+        for _ in range(200):
+            vf = build_value_function(random_priceset(rng))
+            old = ParentValueFunction(vf)
+            ws = list(rng.random(20)) + [0.0, 1.0, -BORDER_SNAP, 1.0 + BORDER_SNAP]
+            for b in vf.borders:
+                ws += [b, b - BORDER_SNAP, b + BORDER_SNAP, b - 2 * BORDER_SNAP,
+                       b + 2 * BORDER_SNAP]
+            for w in ws:
+                if not -BORDER_SNAP <= w <= 1.0 + BORDER_SNAP:
+                    continue
+                assert vf.phi(w).hex() == old.phi(w).hex()
+                assert vf.phi_prime(w).hex() == old.phi_prime(w).hex()
+                assert vf.segment(w) == old.segment(w)
+
+    def test_outside_unit_interval_raises(self):
+        vf = build_value_function([1.0, 3.0])
+        for w in (-2 * BORDER_SNAP, 1.0 + 2 * BORDER_SNAP, math.nan):
+            with pytest.raises(DomainError):
+                vf.phi(w)
+            with pytest.raises(DomainError):
+                vf.phi_prime(w)
+
+
+class TestBuilderMemo:
+    def test_one_object_per_price_tuple(self):
+        prices = [2.0, 5.0, 11.5]
+        vf = build_value_function(prices)
+        assert build_value_function(tuple(prices)) is vf
+        assert build_value_function(PriceSet(prices)) is vf
+        fresh = _value_function.__wrapped__(tuple(prices))
+        assert fresh is not vf
+        assert repr(fresh) == repr(vf)  # field by field, floats bit for bit
 
 
 class TestTwoPriceF:
