@@ -196,7 +196,6 @@ def cmd_hotel_sim(args):
         trials=args.trials if args.trials is not None else 10,
         base_seed=args.seed or 0,
         policies=hotel_policies(curve, args.gamma),
-        workers=args.workers,
     )
     report = harness.run_experiment(cfg)
     harness.write_summary_csv(report, args.out)
@@ -247,7 +246,6 @@ def build_parser():
     sp.add_argument("--days", type=_count(1), default=35)
     sp.add_argument("--arrivals", type=float, default=260.0)
     sp.add_argument("--gamma", type=float, default=1.5)
-    sp.add_argument("--workers", type=_count(1), default=1)
     sp.add_argument("--runs-out", default=None)
     sp.set_defaults(fn=cmd_hotel_sim)
     return p

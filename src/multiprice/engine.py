@@ -19,6 +19,7 @@ makes this step, and one ledger books every sale.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -41,6 +42,16 @@ FORECAST_MODES = ("one_shot", "resolving", "learning", "clairvoyant")
 # cumulative fraction of eventual arrivals booked, by decreasing days before
 # the occupancy date: none at 35 days out, half at 25, all on the day
 BOOKING_CURVE = ((35.0, 0.0), (25.0, 0.5), (0.0, 1.0))
+
+
+def interpolate(x, knots):
+    """The piecewise-linear curve through knots (x, y), their x strictly
+    monotone, at x: the y of the first knot before it, of the last past it."""
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        if min(x0, x1) <= x <= max(x0, x1):
+            return y0 + (x - x0) / (x1 - x0) * (y1 - y0)
+    (x0, y0), (x1, _) = knots[:2]
+    return knots[-1][1] if (x > x0) == (x1 > x0) else y0
 
 
 def psi(w):
@@ -454,14 +465,7 @@ class ForecastCurve:
 
     def fraction(self, days_out):
         """Fraction of the arrivals booked by `days_out` days out."""
-        pts = BOOKING_CURVE
-        if days_out >= pts[0][0]:
-            return pts[0][1]
-        for (d_hi, f_hi), (d_lo, f_lo) in zip(pts, pts[1:]):
-            if d_lo <= days_out <= d_hi:
-                t = (d_hi - days_out) / (d_hi - d_lo)
-                return f_hi + t * (f_lo - f_hi)
-        return 1.0
+        return interpolate(days_out, BOOKING_CURVE)
 
 
 def count_types(model, types):
@@ -520,8 +524,8 @@ class _BidPriceOffer(_Offer):
         self.solves += 1
 
 
-def run_bidprice(setup, arrivals, mode="resolving", resolve_every=100,
-                 forecast=None, rng_seed=0):
+def run_bidprice(setup, arrivals, rng_seed=0, mode="resolving", resolve_every=100,
+                 forecast=None):
     """Forecasting bid-price policy over assortment arrivals.
 
     Solves the choice LP with forecasted remaining type counts and offers
@@ -537,16 +541,20 @@ def run_bidprice(setup, arrivals, mode="resolving", resolve_every=100,
     return ledger.result(meta={"lp_solves": offer.solves})
 
 
-def run_hybrid(setup, arrivals, base="resolving", gamma=1.5, resolve_every=100,
-               forecast=None, rng_seed=0):
-    """Follow the forecast assortment unless its pseudorevenue (under the
-    deterministic value functions) falls below 1/gamma of the best
-    achievable, in which case offer the pseudorevenue maximizer instead."""
-    validate(setup, arrivals, "hybrid", "assortment")
+def _check_gamma(gamma):
     if not 1.0 < gamma < math.inf:
         raise DomainError("gamma must exceed 1 and be finite")
+
+
+def run_hybrid(setup, arrivals, rng_seed=0, gamma=1.5, resolve_every=100, forecast=None):
+    """Follow the resolving forecast's assortment unless its pseudorevenue
+    (under the deterministic value functions) falls below 1/gamma of the
+    best achievable, in which case offer the pseudorevenue maximizer."""
+    validate(setup, arrivals, "hybrid", "assortment")
+    _check_gamma(gamma)
     ledger = Ledger(setup)
-    forecast_offer = _BidPriceOffer(setup, arrivals, ledger, base, resolve_every, forecast)
+    forecast_offer = _BidPriceOffer(setup, arrivals, ledger, "resolving", resolve_every,
+                                    forecast)
     balance_offer, _ = _balance_offer(setup, rng_seed, perturbed=False)
     model, products = arrivals.model, arrivals.products
     overrides = 0
@@ -568,41 +576,29 @@ def run_hybrid(setup, arrivals, base="resolving", gamma=1.5, resolve_every=100,
     return ledger.result(meta={"override_fraction": overrides / T if T else 0.0})
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    """A policy of the harness and the CLI: engine.run_<runner> called with
-    fixed keyword arguments.  It holds the runner's name, not the function,
-    so it is hashable and pickles, and a suite can go to worker processes."""
-
-    runner: str
-    kwargs: tuple = ()  # sorted (name, value) pairs
-
-    @classmethod
-    def of(cls, runner, **kwargs):
-        return cls(runner, tuple(sorted(kwargs.items())))
-
-    def __call__(self, setup, arrivals, rng_seed):
-        run = globals()["run_" + self.runner]
-        return run(setup, arrivals, rng_seed=rng_seed, **dict(self.kwargs))
-
-
-# the policy registry: every policy the CLI runs by name
+# the policy registry: every policy the CLI runs by name, each called as
+# run(setup, arrivals, rng_seed)
 POLICIES = {
-    name: PolicySpec(name)
-    for name in ("balance", "ranking", "myopic", "conservative", "gnr", "balance_assortment")
+    "balance": run_balance,
+    "ranking": run_ranking,
+    "myopic": run_myopic,
+    "conservative": run_conservative,
+    "gnr": run_gnr,
+    "balance_assortment": run_balance_assortment,
 }
 
 
 def hotel_policies(forecast, gamma):
-    """The hotel simulation's suite as (name, PolicySpec) pairs: myopic, gnr,
+    """The hotel simulation's suite as (name, policy) pairs: myopic, gnr,
     balance over assortments, a bid-price policy per forecasting mode and the
-    hybrid over the resolving forecast."""
+    hybrid.  Its runners are looked up when this is called, not at import,
+    so a wrapper put on them in the meantime is the one the suite calls."""
+    _check_gamma(gamma)
     return (
         ("myopic", POLICIES["myopic"]),
         ("gnr", POLICIES["gnr"]),
         ("balance", POLICIES["balance_assortment"]),
-        *(("bidprice_" + mode, PolicySpec.of("bidprice", mode=mode, forecast=forecast))
+        *(("bidprice_" + mode, functools.partial(run_bidprice, mode=mode, forecast=forecast))
           for mode in FORECAST_MODES),
-        ("hybrid_resolving",
-         PolicySpec.of("hybrid", base="resolving", gamma=gamma, forecast=forecast)),
+        ("hybrid_resolving", functools.partial(run_hybrid, gamma=gamma, forecast=forecast)),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import default_hotel_model
-from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types
+from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types, interpolate
 from .errors import SolverLimitError, ValidationError
 from .lp import solve_choice_lp
 from .valuefn import PriceSet
@@ -31,6 +31,9 @@ _TYPE_FLAGS = {
     (0, 0, 0): 0, (0, 0, 1): 1, (0, 1, 0): 2, (0, 1, 1): 3,
     (1, 0, 0): 4, (1, 0, 1): 5, (1, 1, 0): 6, (1, 1, 1): 7,
 }
+
+# BOOKING_CURVE as days out by fraction booked
+_DAYS_OUT_BY_FRACTION = tuple((f, d) for d, f in BOOKING_CURVE)
 
 # a simulated day holds at most this many mean arrivals and units of inventory
 MAX_DAY_SIZE = 1_000_000
@@ -53,7 +56,6 @@ class ExperimentConfig:
     trials: int = 10
     base_seed: int = 0
     policies: tuple = ()  # (name, callable(setup, arrivals, rng_seed)) pairs
-    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -85,18 +87,8 @@ def child_seeds(root, n):
 def _sample_days_out(count, rng):
     """Booking lead times (days before occupancy), via inverse transform of
     BOOKING_CURVE, ordered by booking date."""
-    pts = BOOKING_CURVE
     # low quantiles map to large lead times; earliest bookings first
-    us = np.sort(rng.random(count))
-    out = []
-    for u in us:
-        d = pts[-1][0]
-        for (d_hi, f_hi), (d_lo, f_lo) in zip(pts, pts[1:]):
-            if f_hi <= u <= f_lo:
-                d = d_hi - (u - f_hi) / (f_lo - f_hi) * (d_hi - d_lo)
-                break
-        out.append(d)
-    return out
+    return [interpolate(u, _DAYS_OUT_BY_FRACTION) for u in np.sort(rng.random(count))]
 
 
 def hotel_setup(catalog, loading_factor, mean_daily_arrivals):
@@ -224,12 +216,6 @@ def lp_bound(setup, arrivals):
     return sol.objective
 
 
-def _run_one(args):
-    name, fn, setup, arrivals, seed = args
-    result = fn(setup, arrivals, seed)
-    return result.revenue, result.meta
-
-
 def run_experiment(config):
     """Run every configured policy over the ensembles and summarize.
 
@@ -240,46 +226,33 @@ def run_experiment(config):
     runs = []
     for lf in config.loading_factors:
         ensemble = generate_hotel_ensemble(config, lf)
-        bounds = [lp_bound(setup, arrivals) for setup, arrivals in ensemble]
-        seed_root = np.random.SeedSequence((config.base_seed, 7919))
-        seeds = [child_seeds(day, config.trials) for day in seed_root.spawn(len(ensemble))]
-        jobs = []
+        days = np.random.SeedSequence((config.base_seed, 7919)).spawn(len(ensemble))
         for d, (setup, arrivals) in enumerate(ensemble):
-            for trial in range(config.trials):
+            bound = lp_bound(setup, arrivals)
+            for trial, seed in enumerate(child_seeds(days[d], config.trials)):
                 for name, fn in config.policies:
-                    jobs.append((name, fn, setup, arrivals, seeds[d][trial], d, trial))
-        if config.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+                    result = fn(setup, arrivals, seed)
+                    runs.append({
+                        "loading_factor": lf,
+                        "day": d,
+                        "trial": trial,
+                        "policy": name,
+                        "revenue": result.revenue,
+                        "lp_bound": bound,
+                        "ratio": result.revenue / bound if bound > 0 else 0.0,
+                        "meta": result.meta,
+                    })
 
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(_run_one, [j[:5] for j in jobs]))
-        else:
-            results = [_run_one(j[:5]) for j in jobs]
-        for (name, _, _, _, _, d, trial), (rev, meta) in zip(jobs, results):
-            runs.append({
-                "loading_factor": lf,
-                "day": d,
-                "trial": trial,
-                "policy": name,
-                "revenue": rev,
-                "lp_bound": bounds[d],
-                "ratio": rev / bounds[d] if bounds[d] > 0 else 0.0,
-                "meta": meta,
-            })
-
-    summary = []
-    keys = sorted({(r["loading_factor"], r["policy"]) for r in runs},
-                  key=lambda x: (x[0], x[1]))
-    for lf, name in keys:
-        ratios = [r["ratio"] for r in runs
-                  if r["policy"] == name and r["loading_factor"] == lf]
-        summary.append({
-            "loading_factor": lf,
-            "policy": name,
-            "mean_ratio": float(np.mean(ratios)),
-            "stdev_ratio": float(np.std(ratios, ddof=1)) if len(ratios) > 1 else 0.0,
-            "n_runs": len(ratios),
-        })
+    ratios = {}
+    for r in runs:
+        ratios.setdefault((r["loading_factor"], r["policy"]), []).append(r["ratio"])
+    summary = [{
+        "loading_factor": lf,
+        "policy": name,
+        "mean_ratio": float(np.mean(rs)),
+        "stdev_ratio": float(np.std(rs, ddof=1)) if len(rs) > 1 else 0.0,
+        "n_runs": len(rs),
+    } for (lf, name), rs in sorted(ratios.items())]
     return {"runs": runs, "summary": summary}
 
 

@@ -125,10 +125,12 @@ class ValueFunction:
 
     def _locate(self, w):
         """(w, segment of w), with w snapped onto [0, 1] and onto any border
-        within BORDER_SNAP of it."""
+        within BORDER_SNAP of it, the top border L(m) = 1 first."""
         if not -BORDER_SNAP <= w <= 1.0 + BORDER_SNAP:
             raise DomainError("w=%r outside [0, 1]" % (w,))
-        w = min(max(w, 0.0), 1.0)
+        if w >= 1.0 - BORDER_SNAP:
+            return 1.0, self.m
+        w = max(w, 0.0)
         for b in self.borders:
             if abs(w - b) <= BORDER_SNAP:
                 w = b
@@ -138,6 +140,8 @@ class ValueFunction:
     def phi(self, w):
         """Bid price at fraction sold w."""
         w, j = self._locate(w)
+        if w == 1.0:  # r(m) exactly, where the formula may miss it in the last bits
+            return self.priceset.prices[-1]
         r_lo = self.priceset.price(j - 1)
         r_hi = self.priceset.price(j)
         a = self.alphas[j - 1]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from multiprice import harness
 from multiprice.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from multiprice.harness import CSV_SCHEMA_HEADER
 from multiprice.valuefn import _value_function
@@ -232,7 +233,6 @@ class TestCountFlags:
         ["--trials", "x", "hotel-sim", "--days", "1"],
         ["--seed", "-1", "valuefn", "--prices", "1"],
         ["hotel-sim", "--days", "0"],
-        ["hotel-sim", "--workers", "0"],
         ["valuefn", "--prices", "1,3", "--grid", "-1"],
         ["adversary", "--prices", "1,3", "--n", "0"],
         ["adversary", "--prices", "1,3", "--k", "0"],
@@ -324,17 +324,14 @@ class TestHotelSim:
         assert code == EXIT_SOLVER
         assert err.startswith("solver limit:") and out == ""
 
-    def test_workers_match_single_process(self, tmp_path, capsys):
-        runs = {}
-        for workers in ("1", "2"):
-            runs[workers] = tmp_path / ("runs%s.csv" % workers)
-            code, _, _ = run_cli(
-                capsys, "--trials", "1", "--out", str(tmp_path / "summary.csv"),
-                "hotel-sim", "--days", "1", "--workers", workers,
-                "--runs-out", str(runs[workers]),
-            )
-            assert code == EXIT_OK
-        assert runs["2"].read_bytes() == runs["1"].read_bytes()
+    def test_bad_gamma_refused_before_any_work(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("ensemble built before gamma was checked")
+
+        monkeypatch.setattr(harness, "generate_hotel_ensemble", fail)
+        code, out, err = run_cli(capsys, "--trials", "10", "hotel-sim", "--gamma", "0.5")
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and "gamma" in err and out == ""
 
 
 # -- generated argv ------------------------------------------------------------
@@ -415,7 +412,7 @@ def cli_argv(draw):
                              st.sampled_from([math.nan, math.inf, -math.inf]))
         argv += ["hotel-sim", "--days=1", "--arrivals=%r" % draw(arrivals)]
         argv += draw(opt("loading-factors", st.lists(FLOATS, max_size=3).map(prices_text)))
-        argv += draw(opt("gamma", FLOATS)) + draw(opt("workers", st.integers(-1, 2)))
+        argv += draw(opt("gamma", FLOATS))
         argv += draw(st.sampled_from([[], ["--fare-diff"]]))
         argv += draw(st.sampled_from([[], ["--runs-out={tmp}/runs.csv"]]))
     return argv, raw

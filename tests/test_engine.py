@@ -2,7 +2,6 @@
 safety, the dual-trail certificate, and the forecasting/hybrid variants."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -29,7 +28,8 @@ from multiprice import (
     run_myopic,
     run_ranking,
 )
-from multiprice.engine import POLICIES, Ledger, PolicySpec, hotel_policies, psi, validate
+from multiprice import cli, engine
+from multiprice.engine import POLICIES, Ledger, hotel_policies, psi, validate
 
 from test_lp import random_instance, small_choice_setting
 
@@ -169,22 +169,40 @@ class TestPolicyRegistry:
     def suite(self):
         return hotel_policies(ForecastCurve(expected_total=30.0), gamma=2.0)
 
-    def test_specs_hash_and_pickle(self):
-        specs = list(POLICIES.values()) + [spec for _, spec in self.suite()]
-        for spec in specs:
-            assert isinstance(spec, PolicySpec)
-            copy = pickle.loads(pickle.dumps(spec))
-            assert copy == spec and hash(copy) == hash(spec)
-        assert len(set(specs)) == len(specs) - 3  # myopic, gnr, balance reused
-
     def test_spec_calls_its_runner(self):
         setup, products, model = small_choice_setting()
         arrivals = assortment_arrivals(model, products, [0, 1, 1, 0, 1] * 4)
         suite = dict(self.suite())
-        direct = run_hybrid(setup, arrivals, base="resolving", gamma=2.0,
-                            forecast=ForecastCurve(expected_total=30.0), rng_seed=9)
+        direct = run_hybrid(setup, arrivals, 9, gamma=2.0,
+                            forecast=ForecastCurve(expected_total=30.0))
         assert suite["hybrid_resolving"](setup, arrivals, 9) == direct
         assert POLICIES["gnr"](setup, arrivals, 9) == run_gnr(setup, arrivals, 9)
+
+    def test_cli_runs_the_engine_registry(self):
+        assert cli._POLICIES is engine.POLICIES
+
+    def test_suite_binds_runners_when_built(self, monkeypatch):
+        # a wrapper put on engine.run_bidprice or engine.run_hybrid after
+        # import, as a profiler does, is the one the suite calls
+        calls = []
+
+        def stub(name):
+            def run(setup, arrivals, rng_seed, **options):
+                calls.append((name, rng_seed, options["forecast"]))
+            return run
+
+        monkeypatch.setattr(engine, "run_bidprice", stub("bidprice"))
+        monkeypatch.setattr(engine, "run_hybrid", stub("hybrid"))
+        suite = dict(self.suite())
+        for name in ("bidprice_one_shot", "hybrid_resolving"):
+            suite[name](None, None, 4)
+        curve = ForecastCurve(expected_total=30.0)
+        assert calls == [("bidprice", 4, curve), ("hybrid", 4, curve)]
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, math.inf, math.nan])
+    def test_suite_refuses_gamma(self, gamma):
+        with pytest.raises(DomainError):
+            hotel_policies(ForecastCurve(expected_total=30.0), gamma)
 
 
 class TestTinyInstances:
@@ -433,12 +451,12 @@ class TestAssortmentPolicies:
         # pseudorevenue are overridden
         setup, arrivals = self.setting()
         curve = ForecastCurve(expected_total=30.0)
-        hyb = run_hybrid(setup, arrivals, base="resolving", gamma=1e9,
+        hyb = run_hybrid(setup, arrivals, gamma=1e9,
                          forecast=curve, rng_seed=2)
-        tight = run_hybrid(setup, arrivals, base="resolving", gamma=1.0 + 1e-9,
+        tight = run_hybrid(setup, arrivals, gamma=1.0 + 1e-9,
                            forecast=curve, rng_seed=2)
         assert hyb.meta["override_fraction"] <= tight.meta["override_fraction"]
-        again = run_hybrid(setup, arrivals, base="resolving", gamma=1e9,
+        again = run_hybrid(setup, arrivals, gamma=1e9,
                            forecast=curve, rng_seed=2)
         assert again.revenue == hyb.revenue
 

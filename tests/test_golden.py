@@ -137,7 +137,7 @@ CASES = (
         {"mode": mode, "forecast": CURVE, "resolve_every": 30})
        for mode in ("one_shot", "resolving", "learning", "clairvoyant")]
     + [("hybrid_gamma_%s" % gamma, run_hybrid, ASSORT,
-        {"base": "resolving", "gamma": gamma, "forecast": CURVE, "resolve_every": 30})
+        {"gamma": gamma, "forecast": CURVE, "resolve_every": 30})
        for gamma in (1.2, 3.0)]
 )
 

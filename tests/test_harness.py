@@ -8,6 +8,7 @@ import pytest
 
 from multiprice import (
     ExperimentConfig,
+    ForecastCurve,
     ValidationError,
     default_hotel_model,
     generate_hotel_ensemble,
@@ -16,6 +17,7 @@ from multiprice import (
     run_experiment,
     run_myopic,
 )
+from multiprice.engine import BOOKING_CURVE
 from multiprice.harness import (
     CSV_SCHEMA_HEADER,
     _largest_remainder,
@@ -90,6 +92,45 @@ class TestSampleDaysOut:
         days = _sample_days_out(4000, rng)
         frac_early = sum(1 for d in days if d >= 25.0) / len(days)
         assert abs(frac_early - 0.5) < 3 * math.sqrt(0.25 / 4000)
+
+
+def parent_fraction(days_out):
+    """ForecastCurve.fraction as it walked BOOKING_CURVE by hand."""
+    pts = BOOKING_CURVE
+    if days_out >= pts[0][0]:
+        return pts[0][1]
+    for (d_hi, f_hi), (d_lo, f_lo) in zip(pts, pts[1:]):
+        if d_lo <= days_out <= d_hi:
+            t = (d_hi - days_out) / (d_hi - d_lo)
+            return f_hi + t * (f_lo - f_hi)
+    return 1.0
+
+
+def parent_days_out(u):
+    """One lead time of _sample_days_out as it walked BOOKING_CURVE by hand."""
+    pts = BOOKING_CURVE
+    d = pts[-1][0]
+    for (d_hi, f_hi), (d_lo, f_lo) in zip(pts, pts[1:]):
+        if f_hi <= u <= f_lo:
+            d = d_hi - (u - f_hi) / (f_lo - f_hi) * (d_hi - d_lo)
+            break
+    return d
+
+
+class TestBookingCurve:
+    def test_fraction_bit_identical_to_parent(self):
+        curve = ForecastCurve(expected_total=1.0)
+        rng = np.random.default_rng(5)
+        days = list(rng.uniform(-5.0, 45.0, 20000)) + [-1.0, 0.0, 25.0, 35.0, 36.0]
+        for d in days:
+            assert curve.fraction(d).hex() == parent_fraction(d).hex()
+        assert (curve.fraction(35.0), curve.fraction(1e9), curve.fraction(-0.5)) == (0, 0, 1)
+
+    def test_days_out_bit_identical_to_parent(self):
+        rng = np.random.default_rng(6)
+        us = np.sort(rng.random(20000))
+        assert [d.hex() for d in _sample_days_out(20000, np.random.default_rng(6))] == \
+            [parent_days_out(u).hex() for u in us]
 
 
 class TestEnsemble:

@@ -216,6 +216,7 @@ class ParentValueFunction:
 
 class TestSharedLookup:
     def test_phi_bit_identical_to_parent(self):
+        # but for the top of the curve, which is r(m) exactly
         rng = np.random.default_rng(131)
         for _ in range(200):
             vf = build_value_function(random_priceset(rng))
@@ -227,9 +228,21 @@ class TestSharedLookup:
             for w in ws:
                 if not -BORDER_SNAP <= w <= 1.0 + BORDER_SNAP:
                     continue
-                assert vf.phi(w).hex() == old.phi(w).hex()
+                if w >= 1.0 - BORDER_SNAP:
+                    assert vf.phi(w) == vf.priceset.prices[-1]
+                else:
+                    assert vf.phi(w).hex() == old.phi(w).hex()
                 assert vf.phi_prime(w).hex() == old.phi_prime(w).hex()
                 assert vf.segment(w) == old.segment(w)
+
+    @pytest.mark.parametrize("prices", [[1.0, 3.0], [1.0, 1.0000000000000002],
+                                        [1.0, 1e308, 1.7e308]])
+    def test_phi_at_one_is_top_price(self, prices):
+        # the last segment's formula gives 3.0000000000000018 for [1, 3]; for
+        # [1, 1 + 2^-52] w = 1 lies within BORDER_SNAP of L(1) too
+        vf = build_value_function(prices)
+        for w in (1.0, 1.0 - BORDER_SNAP, 1.0 + BORDER_SNAP):
+            assert vf.phi(w) == prices[-1]
 
     def test_outside_unit_interval_raises(self):
         vf = build_value_function([1.0, 3.0])
