@@ -29,7 +29,8 @@ import numpy as np
 
 from .choice import assortment_value, optimize_assortment, sample_choice
 from .errors import DomainError, MultipriceError, ValidationError
-from .perturb import build_perturbed
+from .perturb import build_perturbed, round_borders
+from .streams import item_uniforms
 from .valuefn import PriceSet, build_value_function
 
 # minimum pseudorevenue for an offer to be made
@@ -158,9 +159,19 @@ def validate(setup, arrivals, policy, *kinds):
                 raise DomainError("probability outside [0, 1]")
 
 
+def _check_seed(rng_seed):
+    """Raise DomainError unless the run's seed is a non-negative integer
+    (numpy integers included, bools not): a policy run is reproducible
+    only from a seed of its own."""
+    if (isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral)
+            or rng_seed < 0):
+        raise DomainError("rng_seed must be a non-negative integer, got %r" % (rng_seed,))
+
+
 def _stream(rng_seed, i):
-    """Child i of the run's seed, numbered as by SeedSequence.spawn: item
-    i's stream, or for i = n the customers' choice stream."""
+    """Child i of the run's seed, numbered as by SeedSequence.spawn: for
+    i = n the customers' choice stream.  Items 0..n-1 draw from children
+    0..n-1 through streams.item_uniforms."""
     return np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i,)))
 
 
@@ -254,10 +265,16 @@ def _balance_offer(setup, rng_seed, perturbed):
     over sold counts 0..k."""
     bid = _price_bids(setup)
     grids = []
+    if perturbed:
+        seeds = item_uniforms(rng_seed, [1] * setup.n)
+        pvfs = {}  # one build per distinct rounding; the prices name the value function
     for i, item in enumerate(setup.items):
         vf = build_value_function(item.priceset)
         if perturbed:
-            pvf = build_perturbed(vf, item.k, _stream(rng_seed, i).random())
+            key = (item.priceset.prices, item.k, tuple(round_borders(vf, item.k, seeds[i])))
+            pvf = pvfs.get(key)
+            if pvf is None:
+                pvf = pvfs[key] = build_perturbed(vf, item.k, seeds[i])
             bid[i, 1 : vf.m + 1] = [pvf.border_value(j) for j in range(1, vf.m + 1)]
             grids.append(pvf.grid_values)
         else:
@@ -276,7 +293,7 @@ def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
     combine, state = offer.combine, offer.state
     for t in range(len(willing)):
         v = combine(bid_per_t[t], state)
-        c = int(np.argmax(v))
+        c = int(v.argmax())
         z = v[c]
         if z <= POSITIVITY_EPS:
             continue
@@ -379,6 +396,7 @@ def run_balance(setup, arrivals, rng_seed, perturbed=True, duals_trace=False):
     pseudorevenue, where an item's unit is valued by its perturbed value
     function at the rounded price border minus at the current sold level."""
     validate(setup, arrivals, "balance", "deterministic", "single_offer")
+    _check_seed(rng_seed)
     offer, grids = _balance_offer(setup, rng_seed, perturbed)
     trace = [] if duals_trace else None
 
@@ -396,11 +414,10 @@ def run_ranking(setup, arrivals, rng_seed, check_assignments=False):
     fixed uniform seed W, and every customer is assigned the available unit
     maximizing her willingness price minus the unit's value Phi(W)."""
     validate(setup, arrivals, "ranking", "deterministic")
+    _check_seed(rng_seed)
     vfs = [build_value_function(it.priceset) for it in setup.items]
-    unit_item, unit_w = [], []
-    for i, item in enumerate(setup.items):
-        unit_item += [i] * item.k
-        unit_w.extend(_stream(rng_seed, i).random(item.k))
+    unit_item = [i for i, item in enumerate(setup.items) for _ in range(item.k)]
+    unit_w = item_uniforms(rng_seed, [item.k for item in setup.items])
     levels = [[vfs[i].phi(w), np.inf] for i, w in zip(unit_item, unit_w)]
     offer = _Offer(_price_bids(setup), operator.sub, levels, np.array(unit_item, dtype=int))
 
@@ -419,6 +436,7 @@ def _run_static_weight(setup, arrivals, rng_seed, discount, high_only=False):
     discount that depends only on the item's sold fraction."""
     validate(setup, arrivals, "static-weight policy",
              "deterministic", "single_offer", "assortment")
+    _check_seed(rng_seed)
     levels = [[discount(s / it.k) for s in range(it.k)] + [0.0] for it in setup.items]
     offer = _Offer(_price_bids(setup, high_only), operator.mul, levels)
     return _offer_loop(setup, arrivals, rng_seed, offer).result()
@@ -443,6 +461,7 @@ def run_balance_fractional(setup, arrivals, rng_seed):
     """Balance in the fluid regime: deterministic value functions, bids pay
     and consume fractionally, bids overshooting capacity are truncated."""
     validate(setup, arrivals, "balance_fractional", "fractional")
+    _check_seed(rng_seed)
     vfs = [build_value_function(it.priceset) for it in setup.items]
     offer = _Offer(_price_bids(setup), operator.sub, state=np.array([vf.phi(0.0) for vf in vfs]))
     return _fractional_loop(setup, arrivals, offer, Ledger(setup), vfs)
@@ -452,6 +471,7 @@ def run_balance_assortment(setup, arrivals, rng_seed, perturbed=True):
     """Balance over assortment arrivals: offer the assortment maximizing
     expected pseudorevenue under the perturbed value functions."""
     validate(setup, arrivals, "balance_assortment", "assortment")
+    _check_seed(rng_seed)
     offer, _ = _balance_offer(setup, rng_seed, perturbed)
     return _offer_loop(setup, arrivals, rng_seed, offer).result()
 
@@ -535,6 +555,7 @@ def run_bidprice(setup, arrivals, rng_seed=0, mode="resolving", resolve_every=10
     type shares), clairvoyant (true remaining counts).
     """
     validate(setup, arrivals, "bidprice", "assortment")
+    _check_seed(rng_seed)
     ledger = Ledger(setup)
     offer = _BidPriceOffer(setup, arrivals, ledger, mode, resolve_every, forecast)
     _assortment_loop(setup, arrivals, rng_seed, offer, ledger)
@@ -551,6 +572,7 @@ def run_hybrid(setup, arrivals, rng_seed=0, gamma=1.5, resolve_every=100, foreca
     (under the deterministic value functions) falls below 1/gamma of the
     best achievable, in which case offer the pseudorevenue maximizer."""
     validate(setup, arrivals, "hybrid", "assortment")
+    _check_seed(rng_seed)
     _check_gamma(gamma)
     ledger = Ledger(setup)
     forecast_offer = _BidPriceOffer(setup, arrivals, ledger, "resolving", resolve_every,

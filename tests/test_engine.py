@@ -28,7 +28,7 @@ from multiprice import (
     run_myopic,
     run_ranking,
 )
-from multiprice import cli, engine
+from multiprice import cli, engine, perturb
 from multiprice.engine import POLICIES, Ledger, hotel_policies, psi, validate
 
 from test_lp import random_instance, small_choice_setting
@@ -152,6 +152,65 @@ class TestValidate:
                 validate(setup, assortment_arrivals(model, bad, [0]), "test", "assortment")
         with pytest.raises(DomainError):
             run_balance_assortment(setup, assortment_arrivals(model, products, [5]), 0)
+
+
+def seed_cases():
+    """Every runner with arrivals of a kind it takes: (runner, setup, arrivals, options)."""
+    one = Setup(items=(Item(k=2, priceset=PriceSet([1.0, 3.0])),))
+    setup, products, model = small_choice_setting()
+    shop = assortment_arrivals(model, products, [0, 1, 1, 0])
+    curve = ForecastCurve(expected_total=4.0)
+    fluid = ArrivalSequence(kind="fractional", probs=(((0.2, 0.7),),))
+    return {
+        **{fn.__name__: (fn, one, det([[2], [1]]), {}) for fn in ALL_DETERMINISTIC},
+        "run_balance_fractional": (run_balance_fractional, one, fluid, {}),
+        "run_balance_assortment": (run_balance_assortment, setup, shop, {}),
+        "run_bidprice": (run_bidprice, setup, shop, {"mode": "clairvoyant"}),
+        "run_hybrid": (run_hybrid, setup, shop, {"forecast": curve}),
+    }
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "7", True])
+    @pytest.mark.parametrize("runner", sorted(seed_cases()))
+    def test_bad_seed_refused(self, runner, seed):
+        fn, setup, arrivals, options = seed_cases()[runner]
+        with pytest.raises(DomainError, match="rng_seed"):
+            fn(setup, arrivals, seed, **options)
+
+    @pytest.mark.parametrize("runner", sorted(seed_cases()))
+    def test_integer_seeds_taken(self, runner):
+        fn, setup, arrivals, options = seed_cases()[runner]
+        runs = [fn(setup, arrivals, seed, **options) for seed in (3, np.int64(3), np.uint64(3))]
+        assert runs[0] == runs[1] == runs[2]
+        fn(setup, arrivals, 2**70, **options)
+
+
+class TestRoundingMemo:
+    def test_one_build_per_distinct_rounding(self, monkeypatch):
+        # 100 identical items round their m = 3 borders comonotonically, so a
+        # run sees at most m + 1 distinct roundings; every item's grid and
+        # bids are still those of its own build
+        m, k = 3, 7
+        setup = Setup(items=(Item(k=k, priceset=PriceSet([1.0, 2.0, 4.0])),) * 100)
+        vf = build_value_function(setup.items[0].priceset)
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return perturb.build_perturbed(*args)
+
+        monkeypatch.setattr(engine, "build_perturbed", counted)
+        for seed in range(5):
+            builds.clear()
+            offer, grids = engine._balance_offer(setup, seed, perturbed=True)
+            assert 1 <= len(builds) <= m + 1
+            assert len({id(g) for g in grids}) == len(builds)
+            for i in range(setup.n):
+                own = perturb.build_perturbed(vf, k, engine._stream(seed, i).random())
+                assert [x.hex() for x in grids[i]] == [x.hex() for x in own.grid_values]
+                assert [offer.rows[i][j].hex() for j in range(1, m + 1)] == \
+                    [own.border_value(j).hex() for j in range(1, m + 1)]
 
 
 class TestLedger:

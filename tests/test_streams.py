@@ -1,0 +1,36 @@
+"""item_uniforms against numpy: one Generator per item, compared by float.hex."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from multiprice import streams
+
+
+def numpy_uniforms(seed, counts):
+    """The reference: one Generator per item, float.hex of each double."""
+    return [x.hex() for i, k in enumerate(counts)
+            for x in np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            .random(k).tolist()]
+
+
+# run seeds of one 32-bit word, and at or just past 2**32, 2**64 and 2**128
+# (two, three and five words), as Python and as numpy integers
+seeds = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.sampled_from([2**32, 2**64, 2**128]), st.integers(0, 2**40))
+    .map(lambda bt: bt[0] + bt[1]),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+
+
+class TestItemUniforms:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=seeds, counts=st.lists(st.integers(1, 5), min_size=1, max_size=600))
+    @example(seed=0, counts=[1] * 600)
+    @example(seed=2**128 - 1, counts=[5, 1, 3])
+    @example(seed=np.uint64(2**64 - 1), counts=[2] * 40)
+    def test_equals_numpy_streams(self, seed, counts):
+        got = [x.hex() for x in streams.item_uniforms(seed, counts)]
+        assert got == numpy_uniforms(seed, counts)
