@@ -9,6 +9,7 @@ policy can beat F times it in expectation over permutations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ class AdversarialInstance:
     permutation: tuple
     group_phases: tuple  # phase index (1-based price level) per group
 
-    @property
+    @functools.cached_property
     def realized_opt(self):
         """Exact hindsight optimum of this instance: the nested interest
         sets admit a perfect group-to-item matching, so every customer is
@@ -77,23 +78,21 @@ def build_instance(vf, n, k, rng_seed):
     rng = np.random.default_rng(rng_seed)
     perm = rng.permutation(n)
 
-    willing = np.zeros((n * k, n), dtype=int)
-    group_phases = []
-    for g in range(n):
-        phase = next(j for j in range(m) if bounds[j] <= g < bounds[j + 1])
-        group_phases.append(phase + 1)
-        willing[g * k : (g + 1) * k, perm[g:]] = phase + 1
+    # group g's phase, and its row: item perm[h] at that phase for h >= g
+    groups = np.arange(n)
+    phases = np.searchsorted(bounds[1:], groups, side="right") + 1
+    rows = np.where(groups[:, None] <= np.argsort(perm), phases[:, None], 0).astype(int)
 
     setup = Setup(items=tuple(Item(k=k, priceset=priceset) for _ in range(n)))
-    arrivals = ArrivalSequence(kind="deterministic", willing=willing)
+    arrivals = ArrivalSequence(kind="deterministic", runs=(rows, np.full(n, k)))
     return AdversarialInstance(
         priceset=priceset,
         n=n,
         k=k,
         setup=setup,
         arrivals=arrivals,
-        permutation=tuple(int(p) for p in perm),
-        group_phases=tuple(group_phases),
+        permutation=tuple(perm.tolist()),
+        group_phases=tuple(phases.tolist()),
     )
 
 

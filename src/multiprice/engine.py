@@ -87,34 +87,120 @@ class Setup:
     def n(self):
         return len(self.items)
 
+    @functools.cached_property
+    def ms(self):
+        """Each item's number of prices, as a read-only array."""
+        return _read_only(np.array([it.priceset.m for it in self.items]))
 
-@dataclass(frozen=True)
+    @functools.cached_property
+    def price_table(self):
+        """price_table[i, j] = r_i(j): column 0 (no interest) and the
+        padding past an item's prices are 0.  Built once, read-only."""
+        return _price_table(self, high_only=False)
+
+    @functools.cached_property
+    def top_price_table(self):
+        """price_table with only each item's highest price."""
+        return _price_table(self, high_only=True)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _price_table(setup, high_only):
+    bid = np.zeros((setup.n, int(setup.ms.max()) + 1))
+    for i, item in enumerate(setup.items):
+        prices = item.priceset.prices
+        lo = len(prices) if high_only else 1
+        bid[i, lo : len(prices) + 1] = prices[lo - 1 :]
+    return _read_only(bid)
+
+
+_BAD_WILLING = "willing must be a T x %s integer array"
+_OUT_OF_RANGE = "willing index outside an item's price range"
+
+
 class ArrivalSequence:
     """A stream of T customers.
 
     kind "deterministic": willing[t, i] = highest acceptable price index
-    (0 = not interested).  kind "single_offer"/"fractional": probs[t] is a
-    per-item tuple of per-price probabilities.  kind "assortment": types[t]
-    indexes into model; products maps model product indices to (item,
-    price index) pairs.
+    (0 = not interested), held as runs of identical customers in a row.
+    Give either willing, a T x n integer array whose runs are found on
+    first use, or runs=(rows, counts), row r being the willingness of
+    counts[r] customers in a row, from which willing is derived on each
+    request.  The arrays are read, never written, and must not change once
+    the sequence has been used.  kind "single_offer"/"fractional": probs[t]
+    is a per-item tuple of per-price probabilities.  kind "assortment":
+    types[t] indexes into model; products maps model product indices to
+    (item, price index) pairs.
     """
 
-    kind: str
-    willing: object = None  # T x n integer array
-    probs: tuple = None
-    types: tuple = None
-    model: object = None
-    products: tuple = None
-    days_out: tuple = None  # optional, days before the occupancy date
+    KINDS = ("deterministic", "single_offer", "fractional", "assortment")
 
-    def __post_init__(self):
-        if self.kind not in ("deterministic", "single_offer", "fractional", "assortment"):
-            raise ValidationError("unknown arrival kind %r" % (self.kind,))
+    def __init__(self, kind, willing=None, probs=None, types=None, model=None,
+                 products=None, days_out=None, runs=None):
+        if kind not in self.KINDS:
+            raise ValidationError("unknown arrival kind %r" % (kind,))
+        if runs is not None and len(runs) != 2:
+            raise ValidationError("runs must be a pair (rows, counts)")
+        self.kind = kind
+        self.probs = probs
+        self.types = types
+        self.model = model
+        self.products = products
+        self.days_out = days_out  # optional, days before the occupancy date
+        self._willing = willing
+        self._runs = None if runs is None else tuple(np.asarray(a) for a in runs)
+        self._max = None
+
+    @property
+    def willing(self):
+        """The T x n willingness matrix."""
+        if self._willing is None and self._runs is not None:
+            rows, counts = self._runs
+            return np.repeat(rows, counts, axis=0)
+        return self._willing
+
+    @property
+    def runs(self):
+        """(rows, counts) of deterministic arrivals: row r is the
+        willingness of counts[r] customers in a row, and rows next to each
+        other differ when found from willing.  Raises DomainError on
+        malformed arrays."""
+        self.willing_max()
+        return self._runs
+
+    def willing_max(self):
+        """Each item's highest willingness index over the customers.  The
+        first call finds the runs and checks them once: DomainError unless
+        the rows form a 2-D integer array of non-negative indices with one
+        positive integer count per row."""
+        if self._max is None:
+            if self._runs is None:
+                w = np.asarray(self._willing)
+                if w.ndim != 2 or w.dtype.kind not in "iu":
+                    raise DomainError(_BAD_WILLING % "n")
+                new = np.ones(len(w), dtype=bool)
+                new[1:] = np.any(w[1:] != w[:-1], axis=1)
+                starts = np.flatnonzero(new)
+                self._runs = (_read_only(w[starts]), np.diff(starts, append=len(w)))
+            rows, counts = self._runs
+            if (rows.ndim != 2 or rows.dtype.kind not in "iu" or counts.shape != rows.shape[:1]
+                    or counts.dtype.kind not in "iu" or np.any(counts < 1)):
+                raise DomainError(_BAD_WILLING % "n")
+            if rows.min(initial=0) < 0:
+                raise DomainError(_OUT_OF_RANGE)
+            self._max = _read_only(rows.max(axis=0, initial=0))
+        return self._max
 
     @property
     def T(self):
         if self.kind == "deterministic":
-            return len(self.willing)
+            if self._willing is None and self._runs is not None:
+                return int(self._runs[1].sum())
+            return len(self._willing)
         if self.kind == "assortment":
             return len(self.types)
         return len(self.probs)
@@ -138,14 +224,15 @@ def validate(setup, arrivals, policy, *kinds):
         raise DomainError("%s takes %s arrivals, not %s"
                           % (policy, " or ".join(kinds), arrivals.kind))
     n = setup.n
-    ms = [it.priceset.m for it in setup.items]
     if arrivals.kind == "deterministic":
-        willing = np.asarray(arrivals.willing)
-        if willing.ndim != 2 or willing.shape[1] != n or willing.dtype.kind not in "iu":
-            raise DomainError("willing must be a T x %d integer array" % n)
-        if np.any(willing < 0) or np.any(willing > np.array(ms)):
-            raise DomainError("willing index outside an item's price range")
-    elif arrivals.kind == "assortment":
+        top = arrivals.willing_max()  # checks the rows once per sequence
+        if len(top) != n:
+            raise DomainError(_BAD_WILLING % n)
+        if np.any(top > setup.ms):
+            raise DomainError(_OUT_OF_RANGE)
+        return
+    ms = setup.ms.tolist()
+    if arrivals.kind == "assortment":
         for i, j in arrivals.products:
             if not (0 <= i < n and 1 <= j <= ms[i]):
                 raise DomainError("product %r names an unknown item or price" % ((i, j),))
@@ -222,12 +309,16 @@ class _Offer:
 
     def __init__(self, bid, combine, levels=None, col_item=None, state=None):
         self.bid = bid
-        self.rows = bid.tolist()  # the same values, cheaper to read one by one
         self.combine = combine
         self.levels = levels
         self.col_item = np.arange(len(bid)) if col_item is None else col_item
         self.state = np.array([lv[0] for lv in levels]) if state is None else state
         self.count = [0] * len(self.state)
+
+    @functools.cached_property
+    def rows(self):
+        """The bids as lists, cheaper to read one by one."""
+        return self.bid.tolist()
 
     def value(self, i, j):
         return self.combine(self.rows[i][j], self.state[i])
@@ -248,61 +339,62 @@ class _Offer:
         """Runs before arrival t; only bid prices change here."""
 
 
-def _price_bids(setup, high_only=False):
-    """Bid table of the prices, column 0 (no interest) and padding 0;
-    high_only keeps only each item's top price."""
-    bid = np.zeros((setup.n, max(it.priceset.m for it in setup.items) + 1))
-    for i, item in enumerate(setup.items):
-        prices = item.priceset.prices
-        lo = len(prices) if high_only else 1
-        bid[i, lo : len(prices) + 1] = prices[lo - 1 :]
-    return bid
-
-
 def _balance_offer(setup, rng_seed, perturbed):
     """Balance values: the (perturbed) value function at the (rounded) price
     border minus at the sold level.  Also returns each item's value grid
-    over sold counts 0..k."""
-    bid = _price_bids(setup)
-    grids = []
-    if perturbed:
-        seeds = item_uniforms(rng_seed, [1] * setup.n)
-        pvfs = {}  # one build per distinct rounding; the prices name the value function
+    over sold counts 0..k.  Items that round alike share one grid and one
+    level table."""
+    bid = setup.price_table.copy() if perturbed else setup.price_table
+    seeds = item_uniforms(rng_seed, [1] * setup.n) if perturbed else None
+    memo = {}  # (borders, grid, levels) per distinct rounding; the prices name the value function
+    grids, levels = [], []
     for i, item in enumerate(setup.items):
         vf = build_value_function(item.priceset)
+        key = (item.priceset.prices, item.k)
         if perturbed:
-            key = (item.priceset.prices, item.k, tuple(round_borders(vf, item.k, seeds[i])))
-            pvf = pvfs.get(key)
-            if pvf is None:
-                pvf = pvfs[key] = build_perturbed(vf, item.k, seeds[i])
-            bid[i, 1 : vf.m + 1] = [pvf.border_value(j) for j in range(1, vf.m + 1)]
-            grids.append(pvf.grid_values)
-        else:
-            grids.append([vf.phi(s / item.k) for s in range(item.k + 1)])
-    levels = [list(g[:-1]) + [np.inf] for g in grids]
+            key += tuple(round_borders(vf, item.k, seeds[i]))
+        hit = memo.get(key)
+        if hit is None:
+            if perturbed:
+                pvf = build_perturbed(vf, item.k, seeds[i])
+                borders = [pvf.border_value(j) for j in range(1, vf.m + 1)]
+                grid = pvf.grid_values
+            else:
+                borders, grid = None, [vf.phi(s / item.k) for s in range(item.k + 1)]
+            hit = memo[key] = (borders, grid, list(grid[:-1]) + [np.inf])
+        borders, grid, level = hit
+        if perturbed:
+            bid[i, 1 : vf.m + 1] = borders
+        grids.append(grid)
+        levels.append(level)
     return _Offer(bid, operator.sub, levels), grids
 
 
 def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
     """One argmax per arrival: the customer buys from the first column of
     largest offer value at their willingness price, since the offer value
-    rises with the price; bid 0 of an uninterested customer never wins."""
-    willing = np.asarray(arrivals.willing)
+    rises with the price; bid 0 of an uninterested customer never wins.
+    The customers of a run share one bid row, and once one of them finds
+    no offer worth making the state stands still, so the rest find none."""
+    rows, counts = arrivals.runs
     cols = offer.col_item
-    bid_per_t = offer.bid[cols[None, :], willing[:, cols]]
-    combine, state = offer.combine, offer.state
-    for t in range(len(willing)):
-        v = combine(bid_per_t[t], state)
-        c = int(v.argmax())
-        z = v[c]
-        if z <= POSITIVITY_EPS:
-            continue
-        i = int(cols[c])
-        j = int(willing[t, i])
-        price = ledger.sell(t, i, j, float(z))
-        if on_sale is not None:
-            on_sale(t, c, float(z), price)
-        offer.advance(c)
+    bids = offer.bid[cols[None, :], rows[:, cols]]
+    combine, state, col_item = offer.combine, offer.state, cols.tolist()
+    start = 0
+    for r, count in enumerate(counts.tolist()):
+        bid, row = bids[r], rows[r]
+        for t in range(start, start + count):
+            v = combine(bid, state)
+            c = int(v.argmax())
+            z = float(v[c])
+            if z <= POSITIVITY_EPS:
+                break
+            i = col_item[c]
+            price = ledger.sell(t, i, int(row[i]), z)
+            if on_sale is not None:
+                on_sale(t, c, z, price)
+            offer.advance(c)
+        start += count
     return ledger
 
 
@@ -419,7 +511,7 @@ def run_ranking(setup, arrivals, rng_seed, check_assignments=False):
     unit_item = [i for i, item in enumerate(setup.items) for _ in range(item.k)]
     unit_w = item_uniforms(rng_seed, [item.k for item in setup.items])
     levels = [[vfs[i].phi(w), np.inf] for i, w in zip(unit_item, unit_w)]
-    offer = _Offer(_price_bids(setup), operator.sub, levels, np.array(unit_item, dtype=int))
+    offer = _Offer(setup.price_table, operator.sub, levels, np.array(unit_item, dtype=int))
 
     def check(t, u, z, price):
         vf = vfs[unit_item[u]]
@@ -437,8 +529,9 @@ def _run_static_weight(setup, arrivals, rng_seed, discount, high_only=False):
     validate(setup, arrivals, "static-weight policy",
              "deterministic", "single_offer", "assortment")
     _check_seed(rng_seed)
-    levels = [[discount(s / it.k) for s in range(it.k)] + [0.0] for it in setup.items]
-    offer = _Offer(_price_bids(setup, high_only), operator.mul, levels)
+    tables = {k: [discount(s / k) for s in range(k)] + [0.0] for k in {it.k for it in setup.items}}
+    bid = setup.top_price_table if high_only else setup.price_table
+    offer = _Offer(bid, operator.mul, [tables[it.k] for it in setup.items])
     return _offer_loop(setup, arrivals, rng_seed, offer).result()
 
 
@@ -463,7 +556,7 @@ def run_balance_fractional(setup, arrivals, rng_seed):
     validate(setup, arrivals, "balance_fractional", "fractional")
     _check_seed(rng_seed)
     vfs = [build_value_function(it.priceset) for it in setup.items]
-    offer = _Offer(_price_bids(setup), operator.sub, state=np.array([vf.phi(0.0) for vf in vfs]))
+    offer = _Offer(setup.price_table, operator.sub, state=np.array([vf.phi(0.0) for vf in vfs]))
     return _fractional_loop(setup, arrivals, offer, Ledger(setup), vfs)
 
 
@@ -525,7 +618,7 @@ class _BidPriceOffer(_Offer):
     def __init__(self, setup, arrivals, ledger, mode, resolve_every, forecast):
         if mode not in FORECAST_MODES:
             raise DomainError("unknown mode %r" % (mode,))
-        super().__init__(_price_bids(setup), operator.sub, state=np.zeros(setup.n))
+        super().__init__(setup.price_table, operator.sub, state=np.zeros(setup.n))
         self.mode, self.every = mode, resolve_every
         self.context = (setup, arrivals, ledger, forecast)
         self.pool = {}  # the choice LP's columns, kept across re-solves

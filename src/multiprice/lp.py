@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .choice import choice_probs, optimize_assortment
-from .engine import _price_bids, validate
+from .engine import validate
 from .errors import DomainError, SolverLimitError
 
 PIVOT_TOL = 1e-9
@@ -113,7 +113,7 @@ def solve_primal(setup, arrivals):
     validate(setup, arrivals, "solve_primal", "deterministic", "single_offer")
     n = setup.n
     T_len = arrivals.T
-    prices = _price_bids(setup)  # prices[i, j] = r_i(j), 0 past item i's prices
+    prices = setup.price_table  # prices[i, j] = r_i(j), 0 past item i's prices
 
     # probs[t, i, j]: the chance customer t buys item i at price j if offered
     if arrivals.kind == "deterministic":

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from multiprice import (
+    ArrivalSequence,
     DomainError,
     PriceSet,
     analytic_bounds,
@@ -68,7 +69,45 @@ class TestAnalyticBounds:
         assert b["ratio"] == pytest.approx(a["ratio"], abs=1e-12)
 
 
+def looped_instance(vf, n, k, rng_seed):
+    """willing and the group phases as build_instance filled them one group
+    at a time before it emitted runs: the reference for the vectorised
+    build."""
+    m = vf.priceset.m
+    _, betas = solve_betas(vf)
+    bounds, acc = [0], 0.0
+    for j in range(m):
+        acc += betas[j]
+        bounds.append(n if j == m - 1 else int(round(acc * n)))
+    perm = np.random.default_rng(rng_seed).permutation(n)
+    willing = np.zeros((n * k, n), dtype=int)
+    phases = []
+    for g in range(n):
+        phase = next(j for j in range(m) if bounds[j] <= g < bounds[j + 1])
+        phases.append(phase + 1)
+        willing[g * k : (g + 1) * k, perm[g:]] = phase + 1
+    return willing, tuple(phases)
+
+
 class TestBuildInstance:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_runs_expand_to_the_looped_matrix(self, k):
+        for vf, n in ((VF13, 12), (build_value_function([1.0, 2.0, 4.0]), 9)):
+            for seed in range(4):
+                inst = build_instance(vf, n, k, seed)
+                willing, phases = looped_instance(vf, n, k, seed)
+                assert inst.arrivals.T == n * k
+                assert inst.arrivals.willing.dtype == willing.dtype
+                assert np.array_equal(inst.arrivals.willing, willing)
+                assert inst.group_phases == phases
+                assert inst.arrivals.runs[1].tolist() == [k] * n
+                got = solve_primal(inst.setup, inst.arrivals)
+                want = solve_primal(inst.setup,
+                                    ArrivalSequence(kind="deterministic", willing=willing))
+                assert got.objective == want.objective
+                assert got.duals_items == want.duals_items
+                assert got.duals_arrivals == want.duals_arrivals
+
     def test_structure(self):
         inst = build_instance(VF13, 20, 2, 0)
         assert inst.setup.n == 20

@@ -2,9 +2,12 @@
 safety, the dual-trail certificate, and the forecasting/hybrid variants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multiprice import (
     ArrivalSequence,
@@ -31,6 +34,7 @@ from multiprice import (
 from multiprice import cli, engine, perturb
 from multiprice.engine import POLICIES, Ledger, hotel_policies, psi, validate
 
+from test_golden import canon
 from test_lp import random_instance, small_choice_setting
 
 ALL_DETERMINISTIC = (run_balance, run_ranking, run_myopic, run_gnr, run_conservative)
@@ -211,6 +215,120 @@ class TestRoundingMemo:
                 assert [x.hex() for x in grids[i]] == [x.hex() for x in own.grid_values]
                 assert [offer.rows[i][j].hex() for j in range(1, m + 1)] == \
                     [own.border_value(j).hex() for j in range(1, m + 1)]
+
+
+def row_by_row_loop(setup, arrivals, offer, ledger, on_sale=None):
+    """The deterministic loop as it was before runs: one bid row gathered
+    and one argmax made per customer.  The reference for the run-based
+    loop, kept verbatim."""
+    willing = np.asarray(arrivals.willing)
+    cols = offer.col_item
+    bid_per_t = offer.bid[cols[None, :], willing[:, cols]]
+    combine, state = offer.combine, offer.state
+    for t in range(len(willing)):
+        v = combine(bid_per_t[t], state)
+        c = int(v.argmax())
+        z = v[c]
+        if z <= engine.POSITIVITY_EPS:
+            continue
+        i = int(cols[c])
+        j = int(willing[t, i])
+        price = ledger.sell(t, i, j, float(z))
+        if on_sale is not None:
+            on_sale(t, c, float(z), price)
+        offer.advance(c)
+    return ledger
+
+
+def exact(res):
+    """A run's revenue, sales log, inventory and duals trace, floats as hex."""
+    return canon((res.revenue, res.sales_log, res.final_inventory, res.duals_trace))
+
+
+RUN_POLICIES = (
+    (run_balance, {"duals_trace": True}),
+    (run_ranking, {"check_assignments": True}),
+    (run_myopic, {}),
+    (run_gnr, {}),
+    (run_conservative, {}),
+)
+
+
+@st.composite
+def run_instances(draw):
+    """A setup and runs of customers drawn from a pool of at most three
+    rows: runs of one row repeated, rows alternating, all rows distinct,
+    with k up to 3 so that items sell out within a run."""
+    n = draw(st.integers(1, 4))
+    pricesets = [PriceSet(p) for p in ([1.0], [1.0, 3.0], [2.0, 5.0], [1.0, 2.0, 4.0])]
+    items = tuple(Item(k=draw(st.integers(1, 3)), priceset=draw(st.sampled_from(pricesets)))
+                  for _ in range(n))
+    pool = draw(st.lists(st.tuples(*(st.integers(0, it.priceset.m) for it in items)),
+                         min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 6)), max_size=8))
+    return Setup(items=items), runs
+
+
+class TestRuns:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=run_instances(), seed=st.integers(0, 2**32))
+    @example(case=(Setup(items=(Item(k=2, priceset=PriceSet([1.0, 3.0])),)), []), seed=0)
+    @example(case=(Setup(items=(Item(k=2, priceset=PriceSet([1.0, 3.0])),) * 2),
+                   [((2, 1), 5), ((2, 1), 1), ((0, 2), 3), ((2, 1), 4)]), seed=7)
+    def test_equals_row_by_row_loop(self, case, seed):
+        # the run-based loop against the loop it replaced, bit for bit, on
+        # the full matrix (runs found on first use) and on the runs as
+        # drawn, which may put equal rows in neighbouring runs
+        setup, runs = case
+        rows = np.array([row for row, _ in runs], dtype=int).reshape(-1, setup.n)
+        counts = np.array([count for _, count in runs], dtype=int)
+        willing = np.repeat(rows, counts, axis=0)
+        for fn, options in RUN_POLICIES:
+            with mock.patch.object(engine, "_deterministic_loop", row_by_row_loop):
+                want = exact(fn(setup, det(willing), seed, **options))
+            for arrivals in (det(willing),
+                             ArrivalSequence(kind="deterministic", runs=(rows, counts))):
+                assert arrivals.T == len(willing)
+                assert exact(fn(setup, arrivals, seed, **options)) == want
+
+    def test_runs_found_once(self):
+        willing = np.array([[1, 0]] * 3 + [[0, 2]] + [[1, 0]] * 2)
+        arrivals = det(willing)
+        rows, counts = arrivals.runs
+        assert rows.tolist() == [[1, 0], [0, 2], [1, 0]]
+        assert counts.tolist() == [3, 1, 2]
+        assert arrivals.runs[0] is rows
+        assert np.array_equal(ArrivalSequence(kind="deterministic", runs=(rows, counts)).willing,
+                              willing)
+
+    @pytest.mark.parametrize("counts", [[1, 0], [1], [1.0, 2.0], [[1, 2]], [-1, 3]])
+    def test_bad_counts(self, counts):
+        arrivals = ArrivalSequence(kind="deterministic",
+                                   runs=(np.array([[1, 0], [0, 1]]), np.array(counts)))
+        setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),) * 2)
+        with pytest.raises(DomainError):
+            run_myopic(setup, arrivals, 0)
+
+    def test_runs_must_be_a_pair(self):
+        with pytest.raises(ValidationError):
+            ArrivalSequence(kind="deterministic", runs=(np.array([[1, 0]]),))
+
+
+class TestPriceTableCache:
+    def test_balance_leaves_the_cached_table_intact(self):
+        items = (Item(k=2, priceset=PriceSet([1.0, 3.0])), Item(k=3, priceset=PriceSet([2.0])),
+                 Item(k=1, priceset=PriceSet([1.0, 2.0, 4.0])))
+        arrivals = det([[2, 1, 3], [1, 0, 2], [2, 1, 1], [0, 1, 3], [1, 1, 1]] * 3)
+        shared = Setup(items=items)
+        for seed in range(3):
+            assert exact(run_balance(shared, arrivals, seed)) == \
+                exact(run_balance(Setup(items=items), arrivals, seed))
+            for fn in (run_myopic, run_conservative):
+                fresh = Setup(items=items)
+                assert exact(fn(shared, arrivals, seed)) == exact(fn(fresh, arrivals, seed))
+        for table in (shared.price_table, shared.top_price_table, shared.ms):
+            with pytest.raises(ValueError):
+                table[0, ...] = 0
 
 
 class TestLedger:
