@@ -55,6 +55,11 @@ def interpolate(x, knots):
     return knots[-1][1] if (x > x0) == (x1 > x0) else y0
 
 
+def _is_int(x):
+    """Whether x is an integer, numpy integers included, bools not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def psi(w):
     """Inventory-balancing discount (e - e^w)/(e - 1)."""
     return (math.e - math.exp(w)) / PSI_DENOM
@@ -67,7 +72,7 @@ class Item:
 
     def __post_init__(self):
         if type(self.k) is not int:  # numpy integers are taken as ints
-            if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            if not _is_int(self.k):
                 raise ValidationError("inventory must be an integer, got %r" % (self.k,))
             object.__setattr__(self, "k", int(self.k))
         if self.k < 1:
@@ -234,15 +239,22 @@ def validate(setup, arrivals, policy, *kinds):
     ms = setup.ms.tolist()
     if arrivals.kind == "assortment":
         for i, j in arrivals.products:
-            if not (0 <= i < n and 1 <= j <= ms[i]):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < n and 1 <= j <= ms[i]):
                 raise DomainError("product %r names an unknown item or price" % ((i, j),))
-        if any(not 0 <= a < arrivals.model.n_types for a in arrivals.types):
-            raise DomainError("customer type outside the model's types")
+        types = np.asarray(arrivals.types)
+        if types.size and (types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
+                           or types.max() >= arrivals.model.n_types):
+            raise DomainError("customer types must be integers among the model's types")
+        if arrivals.days_out is not None:
+            days = np.asarray(arrivals.days_out)
+            if (days.shape != types.shape or days.dtype.kind not in "iuf"
+                    or not np.isfinite(days).all()):
+                raise DomainError("days_out needs one finite lead time per customer")
     else:
         for row in arrivals.probs:
             if len(row) != n or any(len(r) != m for r, m in zip(row, ms)):
                 raise DomainError("probs row needs one probability per price of each item")
-            if not all(0.0 <= p <= 1.0 for r in row for p in r):
+            if not all(isinstance(p, numbers.Real) and 0.0 <= p <= 1.0 for r in row for p in r):
                 raise DomainError("probability outside [0, 1]")
 
 
@@ -250,8 +262,7 @@ def _check_seed(rng_seed):
     """Raise DomainError unless the run's seed is a non-negative integer
     (numpy integers included, bools not): a policy run is reproducible
     only from a seed of its own."""
-    if (isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral)
-            or rng_seed < 0):
+    if not _is_int(rng_seed) or rng_seed < 0:
         raise DomainError("rng_seed must be a non-negative integer, got %r" % (rng_seed,))
 
 
@@ -576,6 +587,12 @@ class ForecastCurve:
 
     expected_total: float
 
+    def __post_init__(self):
+        if not (isinstance(self.expected_total, numbers.Real)
+                and 0.0 <= self.expected_total < math.inf):
+            raise DomainError("expected_total must be a finite number >= 0, got %r"
+                              % (self.expected_total,))
+
     def fraction(self, days_out):
         """Fraction of the arrivals booked by `days_out` days out."""
         return interpolate(days_out, BOOKING_CURVE)
@@ -583,10 +600,8 @@ class ForecastCurve:
 
 def count_types(model, types):
     """Customers per type of the model, as floats."""
-    counts = [0.0] * model.n_types
-    for a in types:
-        counts[a] += 1.0
-    return counts
+    counts = np.bincount(np.asarray(types, dtype=np.intp), minlength=model.n_types)
+    return counts.astype(float).tolist()
 
 
 def _forecast_counts(mode, model, arrivals, t, forecast):
@@ -618,6 +633,9 @@ class _BidPriceOffer(_Offer):
     def __init__(self, setup, arrivals, ledger, mode, resolve_every, forecast):
         if mode not in FORECAST_MODES:
             raise DomainError("unknown mode %r" % (mode,))
+        if not _is_int(resolve_every) or resolve_every < 1:
+            raise DomainError("resolve_every must be a positive integer, got %r"
+                              % (resolve_every,))
         super().__init__(setup.price_table, operator.sub, state=np.zeros(setup.n))
         self.mode, self.every = mode, resolve_every
         self.context = (setup, arrivals, ledger, forecast)
@@ -656,7 +674,7 @@ def run_bidprice(setup, arrivals, rng_seed=0, mode="resolving", resolve_every=10
 
 
 def _check_gamma(gamma):
-    if not 1.0 < gamma < math.inf:
+    if not (isinstance(gamma, numbers.Real) and 1.0 < gamma < math.inf):
         raise DomainError("gamma must exceed 1 and be finite")
 
 

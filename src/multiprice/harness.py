@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import default_hotel_model
-from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types, interpolate
+from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types, interpolate, validate
 from .errors import SolverLimitError, ValidationError
 from .lp import solve_choice_lp
 from .valuefn import PriceSet
@@ -119,8 +119,7 @@ def generate_hotel_ensemble(config, loading_factor):
     for day, child in enumerate(root.spawn(config.n_days)):
         rng = np.random.default_rng(child)
         count = max(int(rng.poisson(config.mean_daily_arrivals * profile[day % 7])), 1)
-        types = tuple(int(rng.choice(model.n_types, p=model.type_shares))
-                      for _ in range(count))
+        types = tuple(rng.choice(model.n_types, size=count, p=model.type_shares).tolist())
         days_out = tuple(_sample_days_out(count, rng))
         arrivals = ArrivalSequence(
             kind="assortment",
@@ -145,13 +144,8 @@ def ingest_transactions(path_or_file, replicate=1, fare_diff=False):
     products = tuple(zip(catalog.product_rooms, catalog.product_levels))
     rooms = set(catalog.room_names)
 
-    if hasattr(path_or_file, "read"):
-        fh = path_or_file
-        close = False
-    else:
-        fh = open(path_or_file, newline="")
-        close = True
-    try:
+    with (contextlib.nullcontext(path_or_file) if hasattr(path_or_file, "read")
+          else open(path_or_file, newline="")) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return {}
@@ -186,9 +180,6 @@ def ingest_transactions(path_or_file, replicate=1, fare_diff=False):
             for night in range(nights):
                 date = occupied + night
                 by_date.setdefault(date, []).append((booked, a))
-    finally:
-        if close:
-            fh.close()
 
     out = {}
     for date, rows in sorted(by_date.items()):
@@ -211,6 +202,7 @@ def ingest_transactions(path_or_file, replicate=1, fare_diff=False):
 
 def lp_bound(setup, arrivals):
     """Hindsight choice-LP bound with the true type counts."""
+    validate(setup, arrivals, "lp_bound", "assortment")
     counts = count_types(arrivals.model, arrivals.types)
     sol = solve_choice_lp(setup, counts, arrivals.model, arrivals.products)
     return sol.objective

@@ -8,6 +8,8 @@ on demand by the single-shot assortment oracle.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -205,8 +207,8 @@ def _column_generation(setup, type_counts, model, products, capacities, pool):
     A_types = model.n_types
     if len(type_counts) != A_types:
         raise DomainError("type_counts length mismatch")
-    if any(cnt < 0 for cnt in type_counts):
-        raise DomainError("negative type count")
+    if not all(isinstance(cnt, numbers.Real) and 0.0 <= cnt < math.inf for cnt in type_counts):
+        raise DomainError("type counts must be finite numbers >= 0")
     fares = [setup.items[i].priceset.price(j) for i, j in products]
 
     def add_col(a, s):

@@ -135,8 +135,6 @@ def enumerate_seed_support(vf, k):
     cuts = [0.0] + sorted(fracs) + [1.0]
     configs = []
     for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo <= 0.0:
-            continue
         configs.append((hi - lo, build_perturbed(vf, k, lo)))
     return RandomizedProcedure(
         priceset=vf.priceset, k=k, configurations=tuple(configs)

@@ -3,12 +3,13 @@
 Balance and ranking give item i of a run the stream of child i of the run's
 seed, as numpy's SeedSequence.spawn numbers its children, and read its
 first doubles.  Building a Generator per item costs more than the policy
-run, so item_uniforms redoes numpy's steps for every item at once:
-SeedSequence's hash of the seed's words (the same for every child), the
-hash of the child's spawn word into the pool and the pool's 8 state words,
-then PCG64's seeding and output (O'Neill, PCG: a family of simple fast
-space-efficient statistically good algorithms for random number
-generation, 2014).  The doubles equal numpy's bit for bit.
+run, so item_uniforms takes the pool every child holds before its spawn
+word is mixed in from SeedSequence(rng_seed).pool (a child pads the seed's
+words with zeros, where the parent hashes zeros), then redoes numpy's
+remaining steps for every item at once: the hash of the spawn word into the
+pool, the pool's 8 state words, and PCG64's seeding and output (O'Neill,
+PCG: a family of simple fast space-efficient statistically good algorithms
+for random number generation, 2014).  The doubles equal numpy's bit for bit.
 """
 
 from __future__ import annotations
@@ -36,47 +37,16 @@ _STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint64)
 _STATE_POOL = [0, 1, 2, 3, 0, 1, 2, 3]
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words."""
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _seed_pool(rng_seed):
-    """The pool of SeedSequence(rng_seed, spawn_key=(i,)) before the spawn
-    word i is mixed in, the same for every i, and the hash constant there."""
-    words, seed = [], int(rng_seed)
-    while True:
-        words.append(seed & _M32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (4 - len(words))  # padded to the pool size, as a spawned sequence is
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    return pool, const
-
-
 def item_uniforms(rng_seed, counts):
     """The first counts[i] doubles of item i's stream,
     default_rng(SeedSequence(rng_seed, spawn_key=(i,))), for every item i in
     order, as one flat list.  Items number below 2**32, one spawn word."""
-    pool, const = _seed_pool(rng_seed)
+    seed = int(rng_seed)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    # the hash constant steps once per word hashed: 16 times to mix the pool's
+    # 4 words together, then 4 times per seed word past the fourth
+    words = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(words - 4, 0), _M32 + 1) & _M32
     u64, m32 = np.uint64, np.uint64(_M32)
     # hashmix item i's spawn word into each pool word, one column per word
     consts = np.array(_hash_consts(const, _MULT_A, 4), dtype=np.uint64)

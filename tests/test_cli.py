@@ -129,7 +129,9 @@ class TestSimulateAndLpBound:
         assert data["objective"] == pytest.approx(55.0, abs=1e-6)
         assert len(data["duals_items"]) == 2
 
-    def test_lp_bound_solver_limit(self, tmp_path, capsys):
+    @staticmethod
+    def huge_instance(tmp_path):
+        """600 customers over 20 items: an assignment LP past the solver's size."""
         raw = {
             "setup": {"items": [{"k": 1, "prices": [float(j) for j in range(1, 6)]}
                                 for _ in range(20)]},
@@ -138,9 +140,23 @@ class TestSimulateAndLpBound:
         }
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(raw))
+        return path
+
+    def test_lp_bound_solver_limit(self, tmp_path, capsys):
+        path = self.huge_instance(tmp_path)
         code, _, err = run_cli(capsys, "lp-bound", "--instance", str(path))
         assert code == EXIT_SOLVER
         assert "solver limit" in err
+
+    def test_simulate_without_the_bound(self, tmp_path, capsys):
+        # simulate runs the policies all the same, with no ratio to report
+        path = self.huge_instance(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_OK and err == ""
+        rows = read_csv_text(out)
+        assert len(rows) == 1
+        assert rows[0]["ratio_vs_lp"] == ""
+        assert float(rows[0]["revenue"]) == 100.0  # each item's unit sold at 5
 
 
 ONE_ITEM = {"k": 1, "prices": [1.0, 3.0]}
@@ -222,6 +238,15 @@ class TestMalformedInstance:
         code, out, err = run_cli(capsys, *instance_argv(text, command)(tmp_path))
         assert code == EXIT_VALIDATION
         assert err.startswith("error:") and "fractional" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["lp-bound", "simulate"])
+    def test_assortment_instance_is_refused(self, tmp_path, capsys, command):
+        text = json.dumps({"setup": {"items": [ONE_ITEM]},
+                           "arrivals": {"kind": "assortment", "types": [0]}})
+        code, out, err = run_cli(capsys, *instance_argv(text, command)(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and "hotel-sim" in err
         assert out == ""
 
 

@@ -128,6 +128,7 @@ class TestValidate:
         ((0.5, 0.5), (0.5, 0.5)),     # item 1 has one price
         ((0.5, 1.5), (0.5,)),         # probability above 1
         ((0.5, -0.1), (0.5,)),        # probability below 0
+        ((0.5, "0.5"), (0.5,)),       # not a number
     ])
     def test_bad_probs(self, kind, row):
         with pytest.raises(DomainError):
@@ -156,6 +157,34 @@ class TestValidate:
                 validate(setup, assortment_arrivals(model, bad, [0]), "test", "assortment")
         with pytest.raises(DomainError):
             run_balance_assortment(setup, assortment_arrivals(model, products, [5]), 0)
+
+    @pytest.mark.parametrize("types, products, days_out", [
+        ((1.5, 0), None, None),            # a type that is not an integer
+        ((0, "1"), None, None),
+        ((0, 1), ((0, 1), (0, 1.5)), None),  # a price index that is not an integer
+        ((0, 1), ((0.0, 1), (1, 1)), None),  # an item index that is not an integer
+        ((0, 1, 1), None, (3.0, 2.0)),       # fewer lead times than customers
+        ((0, 1), None, (3.0, 2.0, 1.0)),     # more lead times than customers
+        ((0, 1), None, (3.0, math.nan)),
+        ((0, 1), None, (math.inf, 1.0)),
+        ((0, 1), None, (3.0, "2")),
+    ])
+    def test_bad_assortment_entries(self, types, products, days_out):
+        setup, good_products, model = small_choice_setting()
+        arrivals = assortment_arrivals(model, products or good_products, types, days_out)
+        with pytest.raises(DomainError):
+            validate(setup, arrivals, "test", "assortment")
+        with pytest.raises(DomainError):
+            run_myopic(setup, arrivals, 0)
+        with pytest.raises(DomainError):
+            run_bidprice(setup, arrivals, resolve_every=1,
+                         forecast=ForecastCurve(expected_total=3.0))
+
+    def test_assortment_types_of_numpy_integers_pass(self):
+        setup, products, model = small_choice_setting()
+        for types in ((), np.array([0, 1], dtype=np.uint8), (np.int64(1), 0)):
+            validate(setup, assortment_arrivals(model, products, types, [1.0] * len(types)),
+                     "test", "assortment")
 
 
 def seed_cases():
@@ -376,7 +405,7 @@ class TestPolicyRegistry:
         curve = ForecastCurve(expected_total=30.0)
         assert calls == [("bidprice", 4, curve), ("hybrid", 4, curve)]
 
-    @pytest.mark.parametrize("gamma", [1.0, 0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, math.inf, math.nan, "2"])
     def test_suite_refuses_gamma(self, gamma):
         with pytest.raises(DomainError):
             hotel_policies(ForecastCurve(expected_total=30.0), gamma)
@@ -565,6 +594,15 @@ class TestForecastCurve:
         assert c.fraction(12.5) == pytest.approx(0.75)
         assert c.fraction(0.0) == 1.0
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0, "30", None])
+    def test_bad_expected_total(self, total):
+        with pytest.raises(DomainError, match="expected_total"):
+            ForecastCurve(expected_total=total)
+
+    def test_expected_total_takes_numbers(self):
+        for total in (0, 0.0, 30, np.float64(30.0), np.int64(30)):
+            assert ForecastCurve(expected_total=total).expected_total == total
+
 
 class TestAssortmentPolicies:
     def setting(self, T=30, seed=0):
@@ -622,6 +660,27 @@ class TestAssortmentPolicies:
         with pytest.raises(DomainError):
             run_hybrid(setup, arrivals, gamma=1.0,
                        forecast=ForecastCurve(expected_total=30.0))
+        with pytest.raises(DomainError, match="gamma"):
+            run_hybrid(setup, arrivals, gamma="2",
+                       forecast=ForecastCurve(expected_total=30.0))
+
+    @pytest.mark.parametrize("every", [0, -1, 1.5, "5", True, None])
+    @pytest.mark.parametrize("mode", ["one_shot", "resolving", "hybrid"])
+    def test_bad_resolve_every(self, mode, every):
+        setup, arrivals = self.setting()
+        curve = ForecastCurve(expected_total=30.0)
+        with pytest.raises(DomainError, match="resolve_every"):
+            if mode == "hybrid":
+                run_hybrid(setup, arrivals, resolve_every=every, forecast=curve)
+            else:
+                run_bidprice(setup, arrivals, mode=mode, resolve_every=every, forecast=curve)
+
+    def test_resolve_every_takes_numpy_integers(self):
+        setup, arrivals = self.setting()
+        curve = ForecastCurve(expected_total=30.0)
+        runs = [run_bidprice(setup, arrivals, resolve_every=every, forecast=curve)
+                for every in (5, np.int64(5))]
+        assert runs[0] == runs[1]
 
     def test_hybrid_large_gamma_mostly_follows_forecast(self):
         # with a huge gamma only forecast offers with nonpositive

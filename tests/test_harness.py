@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from multiprice import (
+    ArrivalSequence,
+    DomainError,
     ExperimentConfig,
     ForecastCurve,
     ValidationError,
@@ -14,12 +16,14 @@ from multiprice import (
     generate_hotel_ensemble,
     ingest_transactions,
     lp_bound,
+    run_bidprice,
     run_experiment,
     run_myopic,
 )
-from multiprice.engine import BOOKING_CURVE
+from multiprice.engine import BOOKING_CURVE, _forecast_counts
 from multiprice.harness import (
     CSV_SCHEMA_HEADER,
+    DEFAULT_WEEK_PROFILE,
     _largest_remainder,
     _sample_days_out,
     hotel_setup,
@@ -133,7 +137,38 @@ class TestBookingCurve:
             [parent_days_out(u).hex() for u in us]
 
 
+def parent_ensemble(config, loading_factor):
+    """Each day's (types, days_out) as generate_hotel_ensemble drew them, one
+    Generator.choice call per customer."""
+    model = default_hotel_model(fare_diff=config.fare_diff).model
+    profile = np.array(DEFAULT_WEEK_PROFILE)
+    profile = profile / profile.mean()
+    root = np.random.SeedSequence((config.base_seed, hash(loading_factor) & 0xFFFF))
+    out = []
+    for day, child in enumerate(root.spawn(config.n_days)):
+        rng = np.random.default_rng(child)
+        count = max(int(rng.poisson(config.mean_daily_arrivals * profile[day % 7])), 1)
+        types = tuple(int(rng.choice(model.n_types, p=model.type_shares))
+                      for _ in range(count))
+        days_out = tuple(_sample_days_out(count, rng))
+        out.append((types, days_out))
+    return out
+
+
 class TestEnsemble:
+    @pytest.mark.parametrize("mean", [1.0, 2.0, 260.0, 1000.0])
+    @pytest.mark.parametrize("lf", [1.4, 1.8])
+    def test_one_choice_call_per_day_equals_parent(self, lf, mean):
+        # days of one customer (the Poisson draw of a mean of 1 or 2 is
+        # often 0) up to a thousand
+        for seed in (0, 1, 17):
+            cfg = small_config(loading_factors=(lf,), base_seed=seed, mean_daily_arrivals=mean)
+            got = [(a.types, [d.hex() for d in a.days_out])
+                   for _, a in generate_hotel_ensemble(cfg, lf)]
+            assert got == [(types, [d.hex() for d in days])
+                           for types, days in parent_ensemble(cfg, lf)]
+            assert all(type(a) is int for types, _ in got for a in types)
+
     def test_shape_and_determinism(self):
         cfg = small_config()
         ens = generate_hotel_ensemble(cfg, 1.6)
@@ -216,6 +251,29 @@ class TestIngest:
                     io.StringIO(CSV_HEADER + "1,10,1,King,low,0,0,0\n" + bad)
                 )
 
+    def test_caller_file_left_open(self):
+        fh = io.StringIO(CSV_HEADER + "1,4,1,King,low,0,0,0\n")
+        ingest_transactions(fh)
+        assert not fh.closed
+
+    def test_early_bookings_forecast_the_expected_total(self):
+        # bookings made more than 35 days out, before the curve books any:
+        # the resolving forecast after t = 0 is the expected total less the
+        # customers seen, split by the model's type shares
+        text = CSV_HEADER + "".join("%d,50,1,King,low,0,0,0\n" % b for b in (5, 6, 7, 40))
+        arrivals = ingest_transactions(io.StringIO(text))[50]
+        assert arrivals.days_out == (45.0, 44.0, 43.0, 10.0)
+        model, curve = arrivals.model, ForecastCurve(expected_total=30.0)
+        for t in (1, 2):
+            assert _forecast_counts("resolving", model, arrivals, t, curve) == \
+                [(30.0 - t) * s for s in model.type_shares]
+        # 10 days out the curve has booked 0.8 of the day: 3 seen, 0.75 to come
+        assert _forecast_counts("resolving", model, arrivals, 3, curve) == \
+            pytest.approx([0.75 * s for s in model.type_shares])
+        setup = hotel_setup(default_hotel_model(), 1.6, 30.0)
+        res = run_bidprice(setup, arrivals, 0, resolve_every=1, forecast=curve)
+        assert res.meta["lp_solves"] == 4
+
     def test_file_path(self, tmp_path):
         p = tmp_path / "tx.csv"
         p.write_text(CSV_HEADER + "1,4,1,TwoDouble,high,0,0,1\n")
@@ -255,6 +313,14 @@ class TestRunExperiment:
         ens = generate_hotel_ensemble(cfg, 1.6)
         for setup, arrivals in ens:
             assert lp_bound(setup, arrivals) > 0.0
+
+    @pytest.mark.parametrize("types", [(1.5, 0), (-1, 0), (8,)])
+    def test_lp_bound_refuses_bad_types(self, types):
+        setup, arrivals = generate_hotel_ensemble(small_config(), 1.6)[0]
+        bad = ArrivalSequence(kind="assortment", types=types, model=arrivals.model,
+                              products=arrivals.products)
+        with pytest.raises(DomainError):
+            lp_bound(setup, bad)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

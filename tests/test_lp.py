@@ -506,6 +506,17 @@ class TestChoiceLp:
         with pytest.raises(DomainError):
             solve_choice_lp(setup, [-1.0, 2.0], model, products)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", None])
+    def test_counts_must_be_finite_numbers(self, bad):
+        # a NaN count passes a "cnt < 0" test and would be solved as the
+        # right-hand side of its row
+        setup, products, model = small_choice_setting()
+        pooled = {}
+        solve_choice_lp(setup, [2.0, 2.0], model, products, pool=pooled)
+        for pool in (None, pooled):  # a fresh solve, and one from pooled columns
+            with pytest.raises(DomainError, match="type counts"):
+                solve_choice_lp(setup, [bad, 2.0], model, products, pool=pool)
+
     def test_objective_monotone_in_counts(self):
         setup, products, model = small_choice_setting()
         lo = solve_choice_lp(setup, [1.0, 1.0], model, products).objective

@@ -14,12 +14,16 @@ def numpy_uniforms(seed, counts):
             .random(k).tolist()]
 
 
-# run seeds of one 32-bit word, and at or just past 2**32, 2**64 and 2**128
-# (two, three and five words), as Python and as numpy integers
+# run seeds of one 32-bit word, and at or just past 2**32, 2**64, 2**128,
+# 2**160, 2**192 and 2**288 (two, three, five, six, seven and ten words: each
+# word past the pool's four steps the hash constant four more times), as
+# Python and as numpy integers
 seeds = st.one_of(
     st.integers(0, 2**32 - 1),
-    st.tuples(st.sampled_from([2**32, 2**64, 2**128]), st.integers(0, 2**40))
+    st.tuples(st.sampled_from([2**32, 2**64, 2**128, 2**160, 2**192, 2**288]),
+              st.integers(0, 2**40))
     .map(lambda bt: bt[0] + bt[1]),
+    st.integers(2**128, 2**320 - 1),
     st.integers(0, 2**63 - 1).map(np.int64),
     st.integers(0, 2**64 - 1).map(np.uint64),
 )
@@ -30,6 +34,8 @@ class TestItemUniforms:
     @given(seed=seeds, counts=st.lists(st.integers(1, 5), min_size=1, max_size=600))
     @example(seed=0, counts=[1] * 600)
     @example(seed=2**128 - 1, counts=[5, 1, 3])
+    @example(seed=2**160, counts=[1, 2])
+    @example(seed=2**320 - 1, counts=[3] * 7)
     @example(seed=np.uint64(2**64 - 1), counts=[2] * 40)
     def test_equals_numpy_streams(self, seed, counts):
         got = [x.hex() for x in streams.item_uniforms(seed, counts)]
