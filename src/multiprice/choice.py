@@ -44,6 +44,9 @@ class MnlModel:
         for row in self.utilities:
             if len(row) != self.n_products:
                 raise ValidationError("utility row length mismatch")
+        # the weights exp(u), 0.0 where u is NEVER, and exp(u0), computed once
+        object.__setattr__(self, "weights", tuple(tuple(map(math.exp, r)) for r in self.utilities))
+        object.__setattr__(self, "w0", tuple(map(math.exp, self.u0)))
 
     @property
     def n_types(self):
@@ -60,19 +63,14 @@ def choice_probs(model, a, assortment):
     Returns (probs, p0) where probs is a dict product -> probability.
     """
     model._check_type(a)
-    us = model.utilities[a]
+    ws, w0 = model.weights[a], model.w0[a]
     weights = {}
-    total = math.exp(model.u0[a])
+    total = w0
     for p in assortment:
-        u = us[p]
-        if u == NEVER:
-            weights[p] = 0.0
-            continue
-        w = math.exp(u)
-        weights[p] = w
+        weights[p] = w = ws[p]
         total += w
     probs = {p: w / total for p, w in weights.items()}
-    return probs, math.exp(model.u0[a]) / total
+    return probs, w0 / total
 
 
 def assortment_value(model, a, assortment, pi):
@@ -97,11 +95,11 @@ def optimize_assortment(model, a, pi):
     ]
     cands.sort(key=lambda p: -pi[p])
     best_s, best_v = (), 0.0
-    weight_sum = math.exp(model.u0[a])
+    ws, weight_sum = model.weights[a], model.w0[a]
     value_sum = 0.0
     for end in range(1, len(cands) + 1):
         p = cands[end - 1]
-        w = math.exp(model.utilities[a][p])
+        w = ws[p]
         weight_sum += w
         value_sum += w * pi[p]
         v = value_sum / weight_sum

@@ -101,26 +101,15 @@ class Setup:
     def price_table(self):
         """price_table[i, j] = r_i(j): column 0 (no interest) and the
         padding past an item's prices are 0.  Built once, read-only."""
-        return _price_table(self, high_only=False)
-
-    @functools.cached_property
-    def top_price_table(self):
-        """price_table with only each item's highest price."""
-        return _price_table(self, high_only=True)
+        table = np.zeros((self.n, int(self.ms.max()) + 1))
+        for i, item in enumerate(self.items):
+            table[i, 1 : item.priceset.m + 1] = item.priceset.prices
+        return _read_only(table)
 
 
 def _read_only(a):
     a.flags.writeable = False
     return a
-
-
-def _price_table(setup, high_only):
-    bid = np.zeros((setup.n, int(setup.ms.max()) + 1))
-    for i, item in enumerate(setup.items):
-        prices = item.priceset.prices
-        lo = len(prices) if high_only else 1
-        bid[i, lo : len(prices) + 1] = prices[lo - 1 :]
-    return _read_only(bid)
 
 
 _BAD_WILLING = "willing must be a T x %s integer array"
@@ -134,9 +123,9 @@ class ArrivalSequence:
     (0 = not interested), held as runs of identical customers in a row.
     Give either willing, a T x n integer array whose runs are found on
     first use, or runs=(rows, counts), row r being the willingness of
-    counts[r] customers in a row, from which willing is derived on each
-    request.  The arrays are read, never written, and must not change once
-    the sequence has been used.  kind "single_offer"/"fractional": probs[t]
+    counts[r] customers in a row; willing and T are derived from the runs.
+    The arrays are read, never written, and must not change once the
+    sequence has been used.  kind "single_offer"/"fractional": probs[t]
     is a per-item tuple of per-price probabilities.  kind "assortment":
     types[t] indexes into model; products maps model product indices to
     (item, price index) pairs.
@@ -156,17 +145,30 @@ class ArrivalSequence:
         self.model = model
         self.products = products
         self.days_out = days_out  # optional, days before the occupancy date
-        self._willing = willing
-        self._runs = None if runs is None else tuple(np.asarray(a) for a in runs)
-        self._max = None
+        self._given = (willing, None) if runs is None else tuple(np.asarray(a) for a in runs)
 
-    @property
-    def willing(self):
-        """The T x n willingness matrix."""
-        if self._willing is None and self._runs is not None:
-            rows, counts = self._runs
-            return np.repeat(rows, counts, axis=0)
-        return self._willing
+    @functools.cached_property
+    def _found(self):
+        """(rows, counts, each item's highest index) of the runs given, or
+        found in willing, on first use: DomainError unless the rows form a
+        2-D integer array of non-negative indices with one positive integer
+        count per row."""
+        rows, counts = self._given
+        if counts is None:
+            w = np.asarray(rows)
+            if w.ndim != 2 or w.dtype.kind not in "iu":
+                raise DomainError(_BAD_WILLING % "n")
+            new = np.ones(len(w), dtype=bool)
+            new[1:] = np.any(w[1:] != w[:-1], axis=1)
+            starts = np.flatnonzero(new)
+            rows, counts = _read_only(w[starts]), np.diff(starts, append=len(w))
+        if (rows.ndim != 2 or rows.dtype.kind not in "iu" or counts.shape != rows.shape[:1]
+                or counts.dtype.kind not in "iu" or np.any(counts < 1)):
+            raise DomainError(_BAD_WILLING % "n")
+        if rows.min(initial=0) < 0:
+            raise DomainError(_OUT_OF_RANGE)
+        self._given = None  # held from here on as the runs alone
+        return rows, counts, _read_only(rows.max(axis=0, initial=0))
 
     @property
     def runs(self):
@@ -174,38 +176,17 @@ class ArrivalSequence:
         willingness of counts[r] customers in a row, and rows next to each
         other differ when found from willing.  Raises DomainError on
         malformed arrays."""
-        self.willing_max()
-        return self._runs
+        return self._found[:2]
 
-    def willing_max(self):
-        """Each item's highest willingness index over the customers.  The
-        first call finds the runs and checks them once: DomainError unless
-        the rows form a 2-D integer array of non-negative indices with one
-        positive integer count per row."""
-        if self._max is None:
-            if self._runs is None:
-                w = np.asarray(self._willing)
-                if w.ndim != 2 or w.dtype.kind not in "iu":
-                    raise DomainError(_BAD_WILLING % "n")
-                new = np.ones(len(w), dtype=bool)
-                new[1:] = np.any(w[1:] != w[:-1], axis=1)
-                starts = np.flatnonzero(new)
-                self._runs = (_read_only(w[starts]), np.diff(starts, append=len(w)))
-            rows, counts = self._runs
-            if (rows.ndim != 2 or rows.dtype.kind not in "iu" or counts.shape != rows.shape[:1]
-                    or counts.dtype.kind not in "iu" or np.any(counts < 1)):
-                raise DomainError(_BAD_WILLING % "n")
-            if rows.min(initial=0) < 0:
-                raise DomainError(_OUT_OF_RANGE)
-            self._max = _read_only(rows.max(axis=0, initial=0))
-        return self._max
+    @property
+    def willing(self):
+        """The T x n willingness matrix."""
+        return np.repeat(*self.runs, axis=0)
 
     @property
     def T(self):
         if self.kind == "deterministic":
-            if self._willing is None and self._runs is not None:
-                return int(self._runs[1].sum())
-            return len(self._willing)
+            return int(self.runs[1].sum())
         if self.kind == "assortment":
             return len(self.types)
         return len(self.probs)
@@ -230,7 +211,7 @@ def validate(setup, arrivals, policy, *kinds):
                           % (policy, " or ".join(kinds), arrivals.kind))
     n = setup.n
     if arrivals.kind == "deterministic":
-        top = arrivals.willing_max()  # checks the rows once per sequence
+        top = arrivals._found[2]  # found and checked with the runs, once per sequence
         if len(top) != n:
             raise DomainError(_BAD_WILLING % n)
         if np.any(top > setup.ms):
@@ -238,9 +219,14 @@ def validate(setup, arrivals, policy, *kinds):
         return
     ms = setup.ms.tolist()
     if arrivals.kind == "assortment":
-        for i, j in arrivals.products:
+        for product in arrivals.products:
+            try:
+                i, j = product
+            except (TypeError, ValueError):  # not a pair
+                i = j = None
             if not (_is_int(i) and _is_int(j) and 0 <= i < n and 1 <= j <= ms[i]):
-                raise DomainError("product %r names an unknown item or price" % ((i, j),))
+                raise DomainError("product %r is not an (item, price index) pair of the setup"
+                                  % (product,))
         types = np.asarray(arrivals.types)
         if types.size and (types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
                            or types.max() >= arrivals.model.n_types):
@@ -285,16 +271,13 @@ class Ledger:
         self.revenue = 0.0
         self.log = []  # (t, item, price index, amount, offer value)
 
-    def is_open(self, i):
-        return self.sold[i] < self.ks[i]
-
     def book(self, t, i, j, amount, z):
         self.revenue += amount
         self.log.append((t, i, j, amount, z))
 
     def sell(self, t, i, j, z):
         """Book one unit of item i at price index j; returns the price."""
-        if not self.is_open(i):
+        if self.sold[i] >= self.ks[i]:
             raise MultipriceError("item %d would sell more than its %d units"
                                   % (i, self.ks[i]))
         self.sold[i] += 1
@@ -409,14 +392,14 @@ def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
     return ledger
 
 
-def _best_offer(row, value, items):
+def _best_offer(row, value):
     """(p * value, item, price index) of the first strict maximum over the
     items in order, each item's prices from high to low; item -1 when no
-    offer is worth making."""
+    offer is worth making.  A sold-out item's state makes none worth it."""
     best = (POSITIVITY_EPS, -1, -1)
-    for i in items:
-        for j in range(len(row[i]), 0, -1):
-            p = row[i][j - 1]
+    for i, probs in enumerate(row):
+        for j in range(len(probs), 0, -1):
+            p = probs[j - 1]
             if p > 0.0:
                 z = p * value(i, j)
                 if z > best[0]:
@@ -429,7 +412,7 @@ def _single_offer_loop(setup, arrivals, rng_seed, offer, ledger, on_sale=None):
     probability, drawn from the choice stream."""
     rng = _stream(rng_seed, setup.n)
     for t, row in enumerate(arrivals.probs):
-        z, i, j = _best_offer(row, offer.value, [i for i in range(setup.n) if ledger.is_open(i)])
+        z, i, j = _best_offer(row, offer.value)
         if i >= 0 and rng.random() < row[i][j - 1]:
             price = ledger.sell(t, i, j, float(z))
             if on_sale is not None:
@@ -446,7 +429,7 @@ def _fractional_loop(setup, arrivals, offer, ledger, vfs):
     w = np.zeros(setup.n)
     truncations = 0
     for t, row in enumerate(arrivals.probs):
-        z, i, j = _best_offer(row, offer.value, [i for i in range(setup.n) if w[i] < 1.0 - 1e-15])
+        z, i, j = _best_offer(row, offer.value)
         if i < 0:
             continue
         p = row[i][j - 1]
@@ -541,7 +524,9 @@ def _run_static_weight(setup, arrivals, rng_seed, discount, high_only=False):
              "deterministic", "single_offer", "assortment")
     _check_seed(rng_seed)
     tables = {k: [discount(s / k) for s in range(k)] + [0.0] for k in {it.k for it in setup.items}}
-    bid = setup.top_price_table if high_only else setup.price_table
+    bid = setup.price_table
+    if high_only:  # each item's highest price alone
+        bid = np.where(np.arange(bid.shape[1]) == setup.ms[:, None], bid, 0.0)
     offer = _Offer(bid, operator.mul, [tables[it.k] for it in setup.items])
     return _offer_loop(setup, arrivals, rng_seed, offer).result()
 

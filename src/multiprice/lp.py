@@ -20,7 +20,8 @@ from .engine import validate
 from .errors import DomainError, SolverLimitError
 
 PIVOT_TOL = 1e-9
-MAX_NONZEROS = 100_000
+# the largest simplex tableau solve_primal builds, in cells of 8 bytes
+MAX_TABLEAU_CELLS = 10_000_000
 # column generation stops once no new column prices above its type's dual
 # by more than COLGEN_TOL, or after MAX_COLGEN_ROUNDS master solves
 COLGEN_TOL = 1e-7
@@ -117,6 +118,18 @@ def solve_primal(setup, arrivals):
     T_len = arrivals.T
     prices = setup.price_table  # prices[i, j] = r_i(j), 0 past item i's prices
 
+    # one variable per (t, i, j) with positive probability; the tableau has a
+    # row per constraint and the objective, a column per variable, slack and b
+    if arrivals.kind == "deterministic":
+        rows, counts = arrivals.runs
+        nv = int(counts @ rows.sum(axis=1))
+    else:
+        nv = sum(p > 0.0 for row in arrivals.probs for r in row for p in r)
+    cells = (n + T_len + 1) * (nv + n + T_len + 1)
+    if cells > MAX_TABLEAU_CELLS:
+        raise SolverLimitError("primal LP too large (%d variables, %d tableau cells)"
+                               % (nv, cells))
+
     # probs[t, i, j]: the chance customer t buys item i at price j if offered
     if arrivals.kind == "deterministic":
         js = np.arange(prices.shape[1])
@@ -127,11 +140,7 @@ def solve_primal(setup, arrivals):
             for i, p_i in enumerate(row):
                 probs[t, i, 1 : len(p_i) + 1] = p_i
 
-    # variables: one per (t, i, j) with positive probability, in that order
-    tv, iv, jv = np.nonzero(probs > 0.0)
-    nv = len(tv)
-    if nv * 2 > MAX_NONZEROS:
-        raise SolverLimitError("primal LP too large (%d variables)" % nv)
+    tv, iv, jv = np.nonzero(probs > 0.0)  # the variables in (t, i, j) order
     p = probs[tv, iv, jv]
     A = np.zeros((n + T_len, nv))
     # expected units sold count against inventory; the offers made to one

@@ -19,6 +19,11 @@ from .errors import DomainError, InvalidPriceSet, InvalidRange
 # w values this close to a segment border are snapped onto it
 BORDER_SNAP = 1e-15
 
+# lambert_w stops once a Halley step is within LAMBERT_TOL of |w| + 1, or
+# raises after LAMBERT_MAX_ITER steps
+LAMBERT_TOL = 1e-12
+LAMBERT_MAX_ITER = 80
+
 
 @dataclass(frozen=True)
 class PriceSet:
@@ -195,7 +200,7 @@ def two_price_F(xi):
     )
 
 
-def lambert_w(x, tol=1e-12, max_iter=80):
+def lambert_w(x):
     """Principal branch of the Lambert W function for x >= 0, by Halley
     iteration seeded at log(1 + x)."""
     if x < 0.0:
@@ -203,13 +208,13 @@ def lambert_w(x, tol=1e-12, max_iter=80):
     if x == 0.0:
         return 0.0
     w = math.log1p(x)
-    for _ in range(max_iter):
+    for _ in range(LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
         step = f / denom
         w -= step
-        if abs(step) <= tol * (1.0 + abs(w)):
+        if abs(step) <= LAMBERT_TOL * (1.0 + abs(w)):
             return w
     raise DomainError("lambert_w failed to converge for x=%r" % (x,))
 

@@ -168,6 +168,8 @@ class TestValidate:
         ((0, 1), None, (3.0, math.nan)),
         ((0, 1), None, (math.inf, 1.0)),
         ((0, 1), None, (3.0, "2")),
+        ((0, 1), ((0, 1), (0, 1, 2)), None),  # a product that is not a pair
+        ((0, 1), ((0, 1), 5), None),
     ])
     def test_bad_assortment_entries(self, types, products, days_out):
         setup, good_products, model = small_choice_setting()
@@ -330,6 +332,18 @@ class TestRuns:
         assert np.array_equal(ArrivalSequence(kind="deterministic", runs=(rows, counts)).willing,
                               willing)
 
+    def test_caller_arrays_stay_writeable(self):
+        # the sequence holds its runs alone, yet never marks the caller's
+        # arrays read-only
+        willing = np.array([[1, 0]] * 2 + [[0, 1]])
+        rows, counts = np.array([[1, 0], [0, 1]]), np.array([2, 1])
+        setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),) * 2)
+        for arrivals in (det(willing), ArrivalSequence(kind="deterministic", runs=(rows, counts))):
+            assert exact(run_myopic(setup, arrivals, 0)) == exact(run_myopic(setup, det(willing), 0))
+            assert arrivals.T == 3
+            assert np.array_equal(arrivals.willing, willing)
+        assert willing.flags.writeable and rows.flags.writeable and counts.flags.writeable
+
     @pytest.mark.parametrize("counts", [[1, 0], [1], [1.0, 2.0], [[1, 2]], [-1, 3]])
     def test_bad_counts(self, counts):
         arrivals = ArrivalSequence(kind="deterministic",
@@ -355,7 +369,7 @@ class TestPriceTableCache:
             for fn in (run_myopic, run_conservative):
                 fresh = Setup(items=items)
                 assert exact(fn(shared, arrivals, seed)) == exact(fn(fresh, arrivals, seed))
-        for table in (shared.price_table, shared.top_price_table, shared.ms):
+        for table in (shared.price_table, shared.ms):
             with pytest.raises(ValueError):
                 table[0, ...] = 0
 

@@ -19,8 +19,10 @@ from multiprice import (
     run_bidprice,
     run_experiment,
     run_myopic,
+    solve_choice_lp,
 )
-from multiprice.engine import BOOKING_CURVE, _forecast_counts
+from multiprice import lp
+from multiprice.engine import BOOKING_CURVE, _forecast_counts, count_types
 from multiprice.harness import (
     CSV_SCHEMA_HEADER,
     DEFAULT_WEEK_PROFILE,
@@ -327,6 +329,28 @@ class TestRunExperiment:
             small_config(trials=0)
         with pytest.raises(ValidationError):
             small_config(loading_factors=(1.5, -1.0))
+
+    @pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf])
+    def test_config_refuses_mean_daily_arrivals(self, mean):
+        with pytest.raises(ValidationError):
+            small_config(mean_daily_arrivals=mean)
+
+    def test_lp_bound_stays_above_the_optimum_before_convergence(self, monkeypatch):
+        # stopped after one master solve, the restricted master's objective
+        # is below the LP optimum; the bound adds the column-generation gap
+        cfg = small_config(mean_daily_arrivals=260.0, base_seed=3)
+        setup, arrivals = generate_hotel_ensemble(cfg, 1.6)[0]
+        lp._fresh_solve.cache_clear()
+        try:
+            converged = lp_bound(setup, arrivals)
+            monkeypatch.setattr(lp, "MAX_COLGEN_ROUNDS", 1)
+            lp._fresh_solve.cache_clear()
+            stopped = solve_choice_lp(setup, count_types(arrivals.model, arrivals.types),
+                                      arrivals.model, arrivals.products)
+            assert stopped.objective < converged - 1000.0
+            assert lp_bound(setup, arrivals) >= converged
+        finally:
+            lp._fresh_solve.cache_clear()
 
 
 class TestCsvOutput:

@@ -326,12 +326,24 @@ class TestPrimalLp:
         with pytest.raises(SolverLimitError):
             solve_primal(setup, ArrivalSequence(kind="deterministic", willing=willing))
 
+    @pytest.mark.parametrize("kind", ["deterministic", "single_offer"])
+    def test_size_guard_bounds_the_tableau(self, kind):
+        # 50,000 customers who all accept the one price of one item: 50,000
+        # variables, but a tableau of 5e9 cells, refused before it is built
+        setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),))
+        if kind == "deterministic":
+            arrivals = ArrivalSequence(kind=kind, runs=(np.array([[1]]), np.array([50_000])))
+        else:
+            arrivals = ArrivalSequence(kind=kind, probs=(((1.0,),),) * 50_000)
+        with pytest.raises(SolverLimitError, match="tableau cells"):
+            solve_primal(setup, arrivals)
+
 
 
 def reference_solve_primal(setup, arrivals):
     """The solve_primal that built the deterministic and the single-offer
     variables in two loops, kept verbatim as the reference for bit-identical
-    output."""
+    output but for the size guard, which bounds the tableau's cells."""
     validate(setup, arrivals, "solve_primal", "deterministic", "single_offer")
     n = setup.n
     T_len = arrivals.T
@@ -358,8 +370,10 @@ def reference_solve_primal(setup, arrivals):
                         var_r.append(setup.items[i].priceset.price(j))
 
     nv = len(var_keys)
-    if nv * 2 > lp.MAX_NONZEROS:
-        raise SolverLimitError("primal LP too large (%d variables)" % nv)
+    cells = (n + T_len + 1) * (nv + n + T_len + 1)
+    if cells > lp.MAX_TABLEAU_CELLS:
+        raise SolverLimitError("primal LP too large (%d variables, %d tableau cells)"
+                               % (nv, cells))
     A = np.zeros((n + T_len, nv))
     # expected units sold count against inventory; the offers made to one
     # customer, accepted or not, are at most one in total
@@ -395,8 +409,8 @@ def primal_outcome(fn, setup, arrivals):
 @st.composite
 def primal_instances(draw):
     """A deterministic or single-offer instance whose items hold 1-4
-    prices each, and an offset of the size guard from its variable count
-    (None: the guard stays at MAX_NONZEROS)."""
+    prices each, and an offset of the size guard from its tableau's cells
+    (None: the guard stays at MAX_TABLEAU_CELLS)."""
     n, T = draw(st.integers(1, 4)), draw(st.integers(0, 6))
     items = tuple(
         Item(k=draw(st.integers(1, 3)), priceset=PriceSet(sorted(draw(
@@ -416,14 +430,16 @@ def primal_instances(draw):
         arrivals = ArrivalSequence(kind="single_offer", probs=probs)
         nv = sum(p > 0.0 for row in probs for r in row for p in r)
     offset = draw(st.none() | st.integers(-2, 1))
-    return setup, arrivals, None if offset is None else 2 * nv + offset
+    cells = (n + T + 1) * (nv + n + T + 1)
+    return setup, arrivals, None if offset is None else cells + offset
 
 
 @settings(max_examples=300, deadline=None)
 @given(primal_instances())
 def test_solve_primal_bit_identical_to_reference(instance):
     setup, arrivals, limit = instance
-    with mock.patch.object(lp, "MAX_NONZEROS", lp.MAX_NONZEROS if limit is None else limit):
+    with mock.patch.object(lp, "MAX_TABLEAU_CELLS",
+                           lp.MAX_TABLEAU_CELLS if limit is None else limit):
         assert (primal_outcome(solve_primal, setup, arrivals)
                 == primal_outcome(reference_solve_primal, setup, arrivals))
 

@@ -1,6 +1,7 @@
 """Randomized border rounding: distribution laws, support enumeration,
 and the two-condition ratio certification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestRoundBorders:
         vf = build_value_function([5.0])
         for w in (0.0, 0.42, 0.99):
             assert round_borders(vf, 3, w) == [0.0, 1.0]
+
+    def test_fraction_just_below_one_snaps_up(self):
+        # L(1) k = 1 - 2e-13: a fractional part within _FRAC_SNAP of 1 is
+        # an exact multiple, so the border sits at 1/2 for every seed
+        vf = dataclasses.replace(build_value_function([1.0, 3.0]),
+                                 borders=(0.0, 0.5 - 1e-13, 1.0))
+        for w in (0.0, 1e-12, 0.5, 1.0 - 1e-12):
+            assert round_borders(vf, 2, w) == [0.0, 0.5, 1.0]
+        proc = enumerate_seed_support(vf, 2)
+        assert [(rho, pvf.tilde_borders) for rho, pvf in proc.configurations] == \
+            [(1.0, (0.0, 0.5, 1.0))]
 
     def test_bad_args(self):
         vf = build_value_function([1.0])
