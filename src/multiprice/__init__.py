@@ -19,7 +19,6 @@ from .choice import (
 )
 from .engine import (
     ArrivalSequence,
-    ForecastCurve,
     Item,
     RunResult,
     Setup,

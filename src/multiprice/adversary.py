@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ArrivalSequence, Item, Setup
-from .errors import DomainError
+from .errors import DomainError, as_int
 from .valuefn import PriceSet
 
 
@@ -60,8 +60,7 @@ def build_instance(vf, n, k, rng_seed):
     identical customers) is interested in items pi[g-1..n-1] and pays the
     price of its phase."""
     priceset = vf.priceset
-    if k < 1 or n < priceset.m:
-        raise DomainError("need k >= 1 and n >= m")
+    n, k = as_int(n, priceset.m, "n"), as_int(k, 1, "k")
     _, betas = solve_betas(vf)
     m = priceset.m
 
@@ -75,7 +74,7 @@ def build_instance(vf, n, k, rng_seed):
         if bounds[j + 1] <= bounds[j]:
             raise DomainError("n too small for the phase partition")
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(as_int(rng_seed, 0, "rng_seed"))
     perm = rng.permutation(n)
 
     # group g's phase, and its row: item perm[h] at that phase for h >= g
@@ -100,6 +99,7 @@ def analytic_bounds(vf, n, k):
     """Closed-form hindsight optimum, online upper bound, and their ratio
     (which equals F of the price set exactly)."""
     priceset = vf.priceset
+    n, k = as_int(n, 1, "n"), as_int(k, 1, "k")
     B, betas = solve_betas(vf)
     m = priceset.m
     opt = n * k * sum(priceset.price(j + 1) * betas[j] for j in range(m))

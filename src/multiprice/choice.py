@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -37,16 +38,28 @@ class MnlModel:
         object.__setattr__(self, "type_shares", tuple(self.type_shares))
         object.__setattr__(self, "u0", tuple(self.u0))
         object.__setattr__(self, "utilities", tuple(map(tuple, self.utilities)))
+        if not all(isinstance(s, numbers.Real) and 0.0 <= s < math.inf for s in self.type_shares):
+            raise ValidationError("type shares must be finite and >= 0")
         if abs(sum(self.type_shares) - 1.0) > 1e-12:
             raise ValidationError("type shares must sum to 1")
-        if any(s < 0 for s in self.type_shares):
-            raise ValidationError("negative type share")
+        if len(self.u0) != self.n_types or len(self.utilities) != self.n_types:
+            raise ValidationError("need one u0 and one utility row per type")
         for row in self.utilities:
             if len(row) != self.n_products:
                 raise ValidationError("utility row length mismatch")
-        # the weights exp(u), 0.0 where u is NEVER, and exp(u0), computed once
-        object.__setattr__(self, "weights", tuple(tuple(map(math.exp, r)) for r in self.utilities))
-        object.__setattr__(self, "w0", tuple(map(math.exp, self.u0)))
+        # the weights exp(u), 0.0 where u is NEVER, and exp(u0), computed once:
+        # exp(u0) > 0 and each type's weights summing to a finite total
+        try:
+            weights = tuple(tuple(map(math.exp, r)) for r in self.utilities)
+            w0 = tuple(map(math.exp, self.u0))
+            usable = all(0.0 < w < math.inf and math.isfinite(w + sum(ws))
+                         for w, ws in zip(w0, weights))
+        except (OverflowError, TypeError):  # a utility above about 709, or not a number
+            usable = False
+        if not usable:
+            raise ValidationError("utilities must give finite choice weights and exp(u0) > 0")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "w0", w0)
 
     @property
     def n_types(self):

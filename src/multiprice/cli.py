@@ -16,7 +16,7 @@ import numpy as np
 from . import harness
 from .adversary import analytic_bounds, build_instance
 from .engine import POLICIES as _POLICIES
-from .engine import ArrivalSequence, ForecastCurve, Item, Setup, hotel_policies
+from .engine import ArrivalSequence, Item, Setup, hotel_policies
 from .errors import MultipriceError, SolverLimitError, ValidationError
 from .lp import solve_primal
 from .perturb import (certified_lower_bounds, enumerate_seed_support,
@@ -146,11 +146,9 @@ def cmd_simulate(args):
                 "trial": trial,
                 "revenue": res.revenue,
                 "ratio_vs_lp": res.revenue / bound if bound else "",
-                "override_fraction": res.meta.get("override_fraction", ""),
                 "runtime_ms": round(ms, 3),
             })
-    harness.write_csv(rows, ["policy", "trial", "revenue", "ratio_vs_lp",
-                             "override_fraction", "runtime_ms"], args.out)
+    harness.write_csv(rows, ["policy", "trial", "revenue", "ratio_vs_lp", "runtime_ms"], args.out)
     return EXIT_OK
 
 
@@ -187,7 +185,6 @@ def cmd_adversary(args):
 
 
 def cmd_hotel_sim(args):
-    curve = ForecastCurve(expected_total=args.arrivals)
     cfg = harness.ExperimentConfig(
         loading_factors=tuple(args.loading_factors),
         fare_diff=args.fare_diff,
@@ -195,7 +192,7 @@ def cmd_hotel_sim(args):
         mean_daily_arrivals=args.arrivals,
         trials=args.trials if args.trials is not None else 10,
         base_seed=args.seed or 0,
-        policies=hotel_policies(curve, args.gamma),
+        policies=hotel_policies(args.arrivals, args.gamma),
     )
     report = harness.run_experiment(cfg)
     harness.write_summary_csv(report, args.out)

@@ -14,7 +14,8 @@ assortment, of best offer value, a bid per (item, price) combined with a
 state per item: balance and ranking subtract the marginal value phi(sold),
 the static-weight policies multiply by a discount psi(sold / k), bid-price
 policies subtract the item's dual.  Each arrival kind has one loop that
-makes this step, and one ledger books every sale.
+makes this step, and fluid balance one more over single-offer arrivals;
+one ledger books every sale.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .choice import assortment_value, optimize_assortment, sample_choice
-from .errors import DomainError, MultipriceError, ValidationError
+from .errors import DomainError, MultipriceError, ValidationError, as_int
 from .perturb import build_perturbed, round_borders
 from .streams import item_uniforms
 from .valuefn import PriceSet, build_value_function
@@ -55,11 +56,6 @@ def interpolate(x, knots):
     return knots[-1][1] if (x > x0) == (x1 > x0) else y0
 
 
-def _is_int(x):
-    """Whether x is an integer, numpy integers included, bools not."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def psi(w):
     """Inventory-balancing discount (e - e^w)/(e - 1)."""
     return (math.e - math.exp(w)) / PSI_DENOM
@@ -71,12 +67,7 @@ class Item:
     priceset: PriceSet
 
     def __post_init__(self):
-        if type(self.k) is not int:  # numpy integers are taken as ints
-            if not _is_int(self.k):
-                raise ValidationError("inventory must be an integer, got %r" % (self.k,))
-            object.__setattr__(self, "k", int(self.k))
-        if self.k < 1:
-            raise ValidationError("inventory must be >= 1")
+        object.__setattr__(self, "k", as_int(self.k, 1, "inventory", ValidationError))
 
 
 @dataclass(frozen=True)
@@ -125,13 +116,13 @@ class ArrivalSequence:
     first use, or runs=(rows, counts), row r being the willingness of
     counts[r] customers in a row; willing and T are derived from the runs.
     The arrays are read, never written, and must not change once the
-    sequence has been used.  kind "single_offer"/"fractional": probs[t]
-    is a per-item tuple of per-price probabilities.  kind "assortment":
+    sequence has been used.  kind "single_offer": probs[t] is a per-item
+    tuple of per-price probabilities.  kind "assortment":
     types[t] indexes into model; products maps model product indices to
     (item, price index) pairs.
     """
 
-    KINDS = ("deterministic", "single_offer", "fractional", "assortment")
+    KINDS = ("deterministic", "single_offer", "assortment")
 
     def __init__(self, kind, willing=None, probs=None, types=None, model=None,
                  products=None, days_out=None, runs=None):
@@ -201,6 +192,20 @@ class RunResult:
     meta: dict = field(default_factory=dict)
 
 
+def check_products(setup, products):
+    """Raise DomainError unless every product is an (item, price index)
+    pair of the setup."""
+    ms = setup.ms.tolist()
+    for product in products:
+        try:
+            i, j = (as_int(x, 0, "index") for x in product)
+        except (TypeError, ValueError, DomainError):  # not a pair of integers
+            i = j = -1
+        if not (0 <= i < len(ms) and 1 <= j <= ms[i]):
+            raise DomainError("product %r is not an (item, price index) pair of the setup"
+                              % (product,))
+
+
 def validate(setup, arrivals, policy, *kinds):
     """Raise DomainError unless the arrivals are of one of the kinds that
     `policy` takes and fit the setup.  Every runner and the hindsight LP
@@ -217,16 +222,8 @@ def validate(setup, arrivals, policy, *kinds):
         if np.any(top > setup.ms):
             raise DomainError(_OUT_OF_RANGE)
         return
-    ms = setup.ms.tolist()
     if arrivals.kind == "assortment":
-        for product in arrivals.products:
-            try:
-                i, j = product
-            except (TypeError, ValueError):  # not a pair
-                i = j = None
-            if not (_is_int(i) and _is_int(j) and 0 <= i < n and 1 <= j <= ms[i]):
-                raise DomainError("product %r is not an (item, price index) pair of the setup"
-                                  % (product,))
+        check_products(setup, arrivals.products)
         types = np.asarray(arrivals.types)
         if types.size and (types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
                            or types.max() >= arrivals.model.n_types):
@@ -237,19 +234,12 @@ def validate(setup, arrivals, policy, *kinds):
                     or not np.isfinite(days).all()):
                 raise DomainError("days_out needs one finite lead time per customer")
     else:
+        ms = setup.ms.tolist()
         for row in arrivals.probs:
             if len(row) != n or any(len(r) != m for r, m in zip(row, ms)):
                 raise DomainError("probs row needs one probability per price of each item")
             if not all(isinstance(p, numbers.Real) and 0.0 <= p <= 1.0 for r in row for p in r):
                 raise DomainError("probability outside [0, 1]")
-
-
-def _check_seed(rng_seed):
-    """Raise DomainError unless the run's seed is a non-negative integer
-    (numpy integers included, bools not): a policy run is reproducible
-    only from a seed of its own."""
-    if not _is_int(rng_seed) or rng_seed < 0:
-        raise DomainError("rng_seed must be a non-negative integer, got %r" % (rng_seed,))
 
 
 def _stream(rng_seed, i):
@@ -482,7 +472,7 @@ def run_balance(setup, arrivals, rng_seed, perturbed=True, duals_trace=False):
     pseudorevenue, where an item's unit is valued by its perturbed value
     function at the rounded price border minus at the current sold level."""
     validate(setup, arrivals, "balance", "deterministic", "single_offer")
-    _check_seed(rng_seed)
+    as_int(rng_seed, 0, "rng_seed")
     offer, grids = _balance_offer(setup, rng_seed, perturbed)
     trace = [] if duals_trace else None
 
@@ -500,7 +490,7 @@ def run_ranking(setup, arrivals, rng_seed, check_assignments=False):
     fixed uniform seed W, and every customer is assigned the available unit
     maximizing her willingness price minus the unit's value Phi(W)."""
     validate(setup, arrivals, "ranking", "deterministic")
-    _check_seed(rng_seed)
+    as_int(rng_seed, 0, "rng_seed")
     vfs = [build_value_function(it.priceset) for it in setup.items]
     unit_item = [i for i, item in enumerate(setup.items) for _ in range(item.k)]
     unit_w = item_uniforms(rng_seed, [item.k for item in setup.items])
@@ -522,7 +512,7 @@ def _run_static_weight(setup, arrivals, rng_seed, discount, high_only=False):
     discount that depends only on the item's sold fraction."""
     validate(setup, arrivals, "static-weight policy",
              "deterministic", "single_offer", "assortment")
-    _check_seed(rng_seed)
+    as_int(rng_seed, 0, "rng_seed")
     tables = {k: [discount(s / k) for s in range(k)] + [0.0] for k in {it.k for it in setup.items}}
     bid = setup.price_table
     if high_only:  # each item's highest price alone
@@ -547,10 +537,10 @@ def run_conservative(setup, arrivals, rng_seed):
 
 
 def run_balance_fractional(setup, arrivals, rng_seed):
-    """Balance in the fluid regime: deterministic value functions, bids pay
-    and consume fractionally, bids overshooting capacity are truncated."""
-    validate(setup, arrivals, "balance_fractional", "fractional")
-    _check_seed(rng_seed)
+    """Balance in the fluid regime over single-offer arrivals: deterministic
+    value functions, bids pay and consume fractionally, cut at capacity."""
+    validate(setup, arrivals, "balance_fractional", "single_offer")
+    as_int(rng_seed, 0, "rng_seed")
     vfs = [build_value_function(it.priceset) for it in setup.items]
     offer = _Offer(setup.price_table, operator.sub, state=np.array([vf.phi(0.0) for vf in vfs]))
     return _fractional_loop(setup, arrivals, offer, Ledger(setup), vfs)
@@ -560,27 +550,9 @@ def run_balance_assortment(setup, arrivals, rng_seed, perturbed=True):
     """Balance over assortment arrivals: offer the assortment maximizing
     expected pseudorevenue under the perturbed value functions."""
     validate(setup, arrivals, "balance_assortment", "assortment")
-    _check_seed(rng_seed)
+    as_int(rng_seed, 0, "rng_seed")
     offer, _ = _balance_offer(setup, rng_seed, perturbed)
     return _offer_loop(setup, arrivals, rng_seed, offer).result()
-
-
-@dataclass(frozen=True)
-class ForecastCurve:
-    """Expected arrivals of a day, booked over the days before it as
-    BOOKING_CURVE, linear between its knots."""
-
-    expected_total: float
-
-    def __post_init__(self):
-        if not (isinstance(self.expected_total, numbers.Real)
-                and 0.0 <= self.expected_total < math.inf):
-            raise DomainError("expected_total must be a finite number >= 0, got %r"
-                              % (self.expected_total,))
-
-    def fraction(self, days_out):
-        """Fraction of the arrivals booked by `days_out` days out."""
-        return interpolate(days_out, BOOKING_CURVE)
 
 
 def count_types(model, types):
@@ -589,18 +561,18 @@ def count_types(model, types):
     return counts.astype(float).tolist()
 
 
-def _forecast_counts(mode, model, arrivals, t, forecast):
-    """Remaining customers per type under the given forecasting mode."""
+def _forecast_counts(mode, model, arrivals, t, expected_total):
+    """Remaining customers per type under the given forecasting mode, the
+    day's expected_total customers booked over the days before it as
+    BOOKING_CURVE."""
     if mode == "clairvoyant":
         return count_types(model, arrivals.types[t:])
-    if forecast is None:
-        raise DomainError("forecasting mode %r needs a ForecastCurve" % (mode,))
     if t == 0 or arrivals.days_out is None:
-        remaining = max(forecast.expected_total - t, 0.0)
+        remaining = max(expected_total - t, 0.0)
     else:
-        frac = forecast.fraction(arrivals.days_out[t])
+        frac = interpolate(arrivals.days_out[t], BOOKING_CURVE)
         if frac <= 1e-9:
-            remaining = max(forecast.expected_total - t, 0.0)
+            remaining = max(expected_total - t, 0.0)
         else:
             remaining = max(t / frac - t, 0.0)
     if mode == "learning" and t > 0:
@@ -615,15 +587,16 @@ class _BidPriceOffer(_Offer):
     forecast remaining demand and the remaining inventory, solved at t = 0
     and, unless the mode is one_shot, every resolve_every arrivals."""
 
-    def __init__(self, setup, arrivals, ledger, mode, resolve_every, forecast):
+    def __init__(self, setup, arrivals, ledger, mode, resolve_every, expected_total):
         if mode not in FORECAST_MODES:
             raise DomainError("unknown mode %r" % (mode,))
-        if not _is_int(resolve_every) or resolve_every < 1:
-            raise DomainError("resolve_every must be a positive integer, got %r"
-                              % (resolve_every,))
+        if mode != "clairvoyant" and not (isinstance(expected_total, numbers.Real)
+                                          and 0.0 <= expected_total < math.inf):
+            raise DomainError("forecasting mode %r needs an expected_total, a finite number "
+                              ">= 0, got %r" % (mode, expected_total))
         super().__init__(setup.price_table, operator.sub, state=np.zeros(setup.n))
-        self.mode, self.every = mode, resolve_every
-        self.context = (setup, arrivals, ledger, forecast)
+        self.mode, self.every = mode, as_int(resolve_every, 1, "resolve_every")
+        self.context = (setup, arrivals, ledger, expected_total)
         self.pool = {}  # the choice LP's columns, kept across re-solves
         self.solves = 0
 
@@ -632,28 +605,30 @@ class _BidPriceOffer(_Offer):
             return
         from .lp import solve_choice_lp
 
-        setup, arrivals, ledger, forecast = self.context
-        counts = _forecast_counts(self.mode, arrivals.model, arrivals, t, forecast)
+        setup, arrivals, ledger, expected_total = self.context
+        counts = _forecast_counts(self.mode, arrivals.model, arrivals, t, expected_total)
         sol = solve_choice_lp(setup, [max(c, 0.0) for c in counts], arrivals.model,
                               arrivals.products, capacities=ledger.remaining(), pool=self.pool)
         self.state[:] = sol.duals_items
         self.solves += 1
 
 
-def run_bidprice(setup, arrivals, rng_seed=0, mode="resolving", resolve_every=100,
-                 forecast=None):
+def run_bidprice(setup, arrivals, rng_seed, mode="resolving", resolve_every=100,
+                 expected_total=None):
     """Forecasting bid-price policy over assortment arrivals.
 
     Solves the choice LP with forecasted remaining type counts and offers
     each customer the assortment maximizing expected fare minus bid price.
     Modes differ only in the forecast: one_shot (solve once), resolving
     (booking-curve forecast, aggregate type shares), learning (empirical
-    type shares), clairvoyant (true remaining counts).
+    type shares), clairvoyant (true remaining counts).  Every mode but
+    clairvoyant needs the day's expected number of customers,
+    expected_total.
     """
     validate(setup, arrivals, "bidprice", "assortment")
-    _check_seed(rng_seed)
+    as_int(rng_seed, 0, "rng_seed")
     ledger = Ledger(setup)
-    offer = _BidPriceOffer(setup, arrivals, ledger, mode, resolve_every, forecast)
+    offer = _BidPriceOffer(setup, arrivals, ledger, mode, resolve_every, expected_total)
     _assortment_loop(setup, arrivals, rng_seed, offer, ledger)
     return ledger.result(meta={"lp_solves": offer.solves})
 
@@ -663,16 +638,16 @@ def _check_gamma(gamma):
         raise DomainError("gamma must exceed 1 and be finite")
 
 
-def run_hybrid(setup, arrivals, rng_seed=0, gamma=1.5, resolve_every=100, forecast=None):
+def run_hybrid(setup, arrivals, rng_seed, gamma=1.5, resolve_every=100, expected_total=None):
     """Follow the resolving forecast's assortment unless its pseudorevenue
     (under the deterministic value functions) falls below 1/gamma of the
     best achievable, in which case offer the pseudorevenue maximizer."""
     validate(setup, arrivals, "hybrid", "assortment")
-    _check_seed(rng_seed)
+    as_int(rng_seed, 0, "rng_seed")
     _check_gamma(gamma)
     ledger = Ledger(setup)
     forecast_offer = _BidPriceOffer(setup, arrivals, ledger, "resolving", resolve_every,
-                                    forecast)
+                                    expected_total)
     balance_offer, _ = _balance_offer(setup, rng_seed, perturbed=False)
     model, products = arrivals.model, arrivals.products
     overrides = 0
@@ -706,7 +681,7 @@ POLICIES = {
 }
 
 
-def hotel_policies(forecast, gamma):
+def hotel_policies(expected_total, gamma):
     """The hotel simulation's suite as (name, policy) pairs: myopic, gnr,
     balance over assortments, a bid-price policy per forecasting mode and the
     hybrid.  Its runners are looked up when this is called, not at import,
@@ -716,7 +691,9 @@ def hotel_policies(forecast, gamma):
         ("myopic", POLICIES["myopic"]),
         ("gnr", POLICIES["gnr"]),
         ("balance", POLICIES["balance_assortment"]),
-        *(("bidprice_" + mode, functools.partial(run_bidprice, mode=mode, forecast=forecast))
+        *(("bidprice_" + mode,
+           functools.partial(run_bidprice, mode=mode, expected_total=expected_total))
           for mode in FORECAST_MODES),
-        ("hybrid_resolving", functools.partial(run_hybrid, gamma=gamma, forecast=forecast)),
+        ("hybrid_resolving",
+         functools.partial(run_hybrid, gamma=gamma, expected_total=expected_total)),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .choice import default_hotel_model
 from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types, interpolate, validate
-from .errors import SolverLimitError, ValidationError
+from .errors import SolverLimitError, ValidationError, as_int
 from .lp import solve_choice_lp
 from .valuefn import PriceSet
 
@@ -58,11 +59,14 @@ class ExperimentConfig:
     policies: tuple = ()  # (name, callable(setup, arrivals, rng_seed)) pairs
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if not 0 <= self.mean_daily_arrivals < math.inf:
+        for name, least in (("trials", 1), ("n_days", 1), ("base_seed", 0)):
+            object.__setattr__(self, name, as_int(getattr(self, name), least, name,
+                                                  ValidationError))
+        if not (isinstance(self.mean_daily_arrivals, numbers.Real)
+                and 0 <= self.mean_daily_arrivals < math.inf):
             raise ValidationError("mean daily arrivals must be finite and >= 0")
-        if not self.loading_factors or not all(0 < lf < math.inf for lf in self.loading_factors):
+        if not (self.loading_factors and all(isinstance(lf, numbers.Real) and 0 < lf < math.inf
+                                             for lf in self.loading_factors)):
             raise ValidationError("need one or more loading factors, all positive and finite")
         if self.mean_daily_arrivals > MAX_DAY_SIZE * min(1.0, *self.loading_factors):
             raise SolverLimitError("a day of more than %d arrivals or units" % MAX_DAY_SIZE)
@@ -139,6 +143,7 @@ def ingest_transactions(path_or_file, replicate=1, fare_diff=False):
     Arrivals are ordered by booking date.  `replicate` repeats each arrival
     in place (the high-inventory regime).
     """
+    replicate = as_int(replicate, 1, "replicate", ValidationError)
     catalog = default_hotel_model(fare_diff=fare_diff)
     model = catalog.model
     products = tuple(zip(catalog.product_rooms, catalog.product_levels))

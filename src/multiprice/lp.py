@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .choice import choice_probs, optimize_assortment
-from .engine import validate
+from .engine import check_products, validate
 from .errors import DomainError, SolverLimitError
 
 PIVOT_TOL = 1e-9
@@ -189,6 +189,7 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None, pool=N
     is memoized on the other arguments (8 entries) and fills the pool, if
     given, with the columns that solve generated.
     """
+    check_products(setup, products)
     caps = tuple(it.k for it in setup.items) if capacities is None else tuple(capacities)
     if pool:
         return _column_generation(setup, type_counts, model, products, caps, pool)

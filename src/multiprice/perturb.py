@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, as_int
 from .valuefn import PriceSet
 
 # fractional parts this close to an integer are treated as exact multiples
@@ -62,8 +62,7 @@ def round_borders(vf, k, w_seed):
     """Comonotone rounding of all borders to multiples of 1/k: border j
     moves up to (floor(L(j) k) + 1)/k exactly when the shared seed falls
     below its fractional part, else down.  Exact multiples never move."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must be a positive integer")
+    k = as_int(k, 1, "k")
     if not 0.0 <= w_seed < 1.0:
         raise DomainError("seed must lie in [0, 1)")
     out = [(fl + (w_seed < frac)) / k for fl, frac in _floor_frac(vf.borders, k)]
@@ -205,6 +204,7 @@ def certified_lower_bounds(vf, k):
     item with inventory k: the rounding-based bound, the single-unit bound
     G/2, and the improved single-price bound.  Returns a dict; the overall
     certificate is the max of the applicable values."""
+    k = as_int(k, 1, "k")
     bounds = {
         "perturbation": vf.F / ((1.0 + k) * math.expm1(1.0 / k)),
         "single_unit": vf.G / 2.0,

@@ -36,7 +36,7 @@ from multiprice import (
     two_price_F,
     verify_conditions,
 )
-from multiprice.engine import POLICIES, ForecastCurve, hotel_policies
+from multiprice.engine import POLICIES, hotel_policies
 from multiprice.harness import ExperimentConfig, run_experiment
 
 from test_choice import brute_force, random_model
@@ -319,7 +319,7 @@ def test_criterion_10_two_phase_example():
 def test_criterion_11_hotel_shape():
     t0 = time.perf_counter()
     curve_total = 260.0
-    suite = dict(hotel_policies(ForecastCurve(expected_total=curve_total), gamma=1.5))
+    suite = dict(hotel_policies(curve_total, gamma=1.5))
     fcst_policies = tuple(
         (name, suite[key]) for name, key in (
             ("one_shot", "bidprice_one_shot"),

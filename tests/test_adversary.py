@@ -62,6 +62,11 @@ class TestAnalyticBounds:
             assert bounds["ratio"] == pytest.approx(vf.F, abs=1e-12)
             assert bounds["online_ub"] < bounds["opt"]
 
+    @pytest.mark.parametrize("n, k", [(0, 1), (1, 0), (2.5, 1)])
+    def test_refuses_empty_or_fractional_sizes(self, n, k):
+        with pytest.raises(DomainError):
+            analytic_bounds(VF13, n, k)
+
     def test_scaling(self):
         a = analytic_bounds(VF13, 10, 1)
         b = analytic_bounds(VF13, 20, 2)
@@ -147,6 +152,14 @@ class TestBuildInstance:
             build_instance(VF13, 10, 0, 0)
         with pytest.raises(DomainError):
             build_instance(build_value_function([1.0, 2.0, 4.0]), 2, 1, 0)
+
+    def test_refuses_a_fractional_n(self):
+        with pytest.raises(DomainError, match="^n must be an integer"):
+            build_instance(VF13, 10.5, 1, 0)
+
+    def test_refuses_a_negative_seed(self):
+        with pytest.raises(DomainError, match="^rng_seed must be an integer"):
+            build_instance(VF13, 10, 1, -1)
 
     def test_realized_opt_near_analytic(self):
         n = 200

@@ -119,6 +119,22 @@ class TestModelValidation:
             MnlModel(n_products=2, type_shares=(1.0,), u0=(0.0,),
                      utilities=((1.0,),))
 
+    @pytest.mark.parametrize("fields", [
+        {"utilities": ((800.0,),)},       # exp overflows
+        {"utilities": ((math.inf,),)},    # an infinite weight
+        {"utilities": ((math.nan,),)},
+        {"utilities": ((709.0, 709.0, 709.0),)},  # finite weights, infinite sum
+        {"u0": (math.nan,)},
+        {"u0": (-math.inf,)},             # exp(u0) = 0: nothing offered divides by 0
+        {"u0": (-800.0,)},
+        {"type_shares": (math.nan,)},
+        {"type_shares": ("1",)},
+    ])
+    def test_refuses_unusable_weights(self, fields):
+        model = {"type_shares": (1.0,), "u0": (0.0,), "utilities": ((1.0,),), **fields}
+        with pytest.raises(ValidationError):
+            MnlModel(n_products=len(model["utilities"][0]), **model)
+
 
 class TestOptimizeAssortment:
     def test_prefix_vs_brute_force(self):

@@ -104,6 +104,15 @@ class TestSimulateAndLpBound:
         for r in rows:
             assert 0.0 <= float(r["ratio_vs_lp"]) <= 1.0 + 1e-9
 
+    def test_simulate_columns(self, tmp_path, capsys):
+        # no policy of the registry reports an override fraction, so
+        # simulate writes no column for it
+        path = instance_file(tmp_path, [[2, 1], [1, 0]])
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_OK
+        assert list(read_csv_text(out)[0]) == ["policy", "trial", "revenue", "ratio_vs_lp",
+                                               "runtime_ms"]
+
     def test_simulate_policy_list(self, tmp_path, capsys):
         raw = json.loads(instance_file(tmp_path, [[1, 1]]).read_text())
         raw["policies"] = ["myopic", "gnr"]
@@ -232,7 +241,7 @@ class TestMalformedInstance:
 
     @pytest.mark.parametrize("command", ["lp-bound", "simulate"])
     def test_fractional_instance_is_named(self, tmp_path, capsys, command):
-        # no policy of the registry and no bound takes fractional arrivals
+        # fluid balance is a policy, not an arrival kind: the kind is named
         text = json.dumps({"setup": {"items": [ONE_ITEM]},
                            "arrivals": {"kind": "fractional", "probs": [[[0.5, 0.5]]]}})
         code, out, err = run_cli(capsys, *instance_argv(text, command)(tmp_path))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from multiprice import (
     ArrivalSequence,
     DomainError,
-    ForecastCurve,
     MultipriceError,
     Item,
     MnlModel,
@@ -32,9 +31,10 @@ from multiprice import (
     run_ranking,
 )
 from multiprice import cli, engine, perturb
-from multiprice.engine import POLICIES, Ledger, hotel_policies, psi, validate
+from multiprice.engine import (BOOKING_CURVE, POLICIES, Ledger, hotel_policies, interpolate, psi,
+                               validate)
 
-from test_golden import canon
+from test_golden import canon, digest_result
 from test_lp import random_instance, small_choice_setting
 
 ALL_DETERMINISTIC = (run_balance, run_ranking, run_myopic, run_gnr, run_conservative)
@@ -89,17 +89,17 @@ class TestBasics:
 
     def test_kind_guards(self):
         setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),))
-        frac = ArrivalSequence(kind="fractional", probs=(((0.5,),),))
+        with pytest.raises(ValidationError):  # fluid balance is a policy, not an arrival kind
+            ArrivalSequence(kind="fractional", probs=(((0.5,),),))
+        offers = ArrivalSequence(kind="single_offer", probs=(((0.5,),),))
         with pytest.raises(DomainError):
-            run_balance(setup, frac, 0)
-        with pytest.raises(DomainError):
-            run_ranking(setup, frac, 0)
+            run_ranking(setup, offers, 0)
         with pytest.raises(DomainError):
             run_balance_fractional(setup, det([[1]]), 0)
         with pytest.raises(DomainError):
-            run_bidprice(setup, det([[1]]))
+            run_bidprice(setup, det([[1]]), 0)
         with pytest.raises(DomainError):
-            run_hybrid(setup, det([[1]]))
+            run_hybrid(setup, det([[1]]), 0)
 
 
 class TestValidate:
@@ -121,7 +121,8 @@ class TestValidate:
         with pytest.raises(DomainError):
             run_myopic(self.setup, arrivals, 0)
 
-    @pytest.mark.parametrize("kind", ["single_offer", "fractional"])
+    # single-offer arrivals, run by a stochastic policy or by fluid balance
+    @pytest.mark.parametrize("regime", ["single_offer", "fractional"])
     @pytest.mark.parametrize("row", [
         ((0.5, 0.5),),                # one item's entry missing
         ((0.5,), (0.5,)),             # item 0 needs two prices
@@ -130,9 +131,13 @@ class TestValidate:
         ((0.5, -0.1), (0.5,)),        # probability below 0
         ((0.5, "0.5"), (0.5,)),       # not a number
     ])
-    def test_bad_probs(self, kind, row):
+    def test_bad_probs(self, regime, row):
+        arrivals = ArrivalSequence(kind="single_offer", probs=(row,))
         with pytest.raises(DomainError):
-            validate(self.setup, ArrivalSequence(kind=kind, probs=(row,)), "test", kind)
+            validate(self.setup, arrivals, "test", "single_offer")
+        with pytest.raises(DomainError):
+            (run_balance_fractional if regime == "fractional" else run_balance)(
+                self.setup, arrivals, 0)
 
     def test_wrong_kind_names_policy_and_kinds(self):
         arrivals = ArrivalSequence(kind="single_offer", probs=(((0.0, 1.0), (0.3,)),))
@@ -179,8 +184,7 @@ class TestValidate:
         with pytest.raises(DomainError):
             run_myopic(setup, arrivals, 0)
         with pytest.raises(DomainError):
-            run_bidprice(setup, arrivals, resolve_every=1,
-                         forecast=ForecastCurve(expected_total=3.0))
+            run_bidprice(setup, arrivals, 0, resolve_every=1, expected_total=3.0)
 
     def test_assortment_types_of_numpy_integers_pass(self):
         setup, products, model = small_choice_setting()
@@ -194,14 +198,13 @@ def seed_cases():
     one = Setup(items=(Item(k=2, priceset=PriceSet([1.0, 3.0])),))
     setup, products, model = small_choice_setting()
     shop = assortment_arrivals(model, products, [0, 1, 1, 0])
-    curve = ForecastCurve(expected_total=4.0)
-    fluid = ArrivalSequence(kind="fractional", probs=(((0.2, 0.7),),))
+    fluid = ArrivalSequence(kind="single_offer", probs=(((0.2, 0.7),),))
     return {
         **{fn.__name__: (fn, one, det([[2], [1]]), {}) for fn in ALL_DETERMINISTIC},
         "run_balance_fractional": (run_balance_fractional, one, fluid, {}),
         "run_balance_assortment": (run_balance_assortment, setup, shop, {}),
         "run_bidprice": (run_bidprice, setup, shop, {"mode": "clairvoyant"}),
-        "run_hybrid": (run_hybrid, setup, shop, {"forecast": curve}),
+        "run_hybrid": (run_hybrid, setup, shop, {"expected_total": 4.0}),
     }
 
 
@@ -387,14 +390,13 @@ class TestLedger:
 
 class TestPolicyRegistry:
     def suite(self):
-        return hotel_policies(ForecastCurve(expected_total=30.0), gamma=2.0)
+        return hotel_policies(30.0, gamma=2.0)
 
     def test_spec_calls_its_runner(self):
         setup, products, model = small_choice_setting()
         arrivals = assortment_arrivals(model, products, [0, 1, 1, 0, 1] * 4)
         suite = dict(self.suite())
-        direct = run_hybrid(setup, arrivals, 9, gamma=2.0,
-                            forecast=ForecastCurve(expected_total=30.0))
+        direct = run_hybrid(setup, arrivals, 9, gamma=2.0, expected_total=30.0)
         assert suite["hybrid_resolving"](setup, arrivals, 9) == direct
         assert POLICIES["gnr"](setup, arrivals, 9) == run_gnr(setup, arrivals, 9)
 
@@ -408,7 +410,7 @@ class TestPolicyRegistry:
 
         def stub(name):
             def run(setup, arrivals, rng_seed, **options):
-                calls.append((name, rng_seed, options["forecast"]))
+                calls.append((name, rng_seed, options["expected_total"]))
             return run
 
         monkeypatch.setattr(engine, "run_bidprice", stub("bidprice"))
@@ -416,13 +418,12 @@ class TestPolicyRegistry:
         suite = dict(self.suite())
         for name in ("bidprice_one_shot", "hybrid_resolving"):
             suite[name](None, None, 4)
-        curve = ForecastCurve(expected_total=30.0)
-        assert calls == [("bidprice", 4, curve), ("hybrid", 4, curve)]
+        assert calls == [("bidprice", 4, 30.0), ("hybrid", 4, 30.0)]
 
     @pytest.mark.parametrize("gamma", [1.0, 0.5, math.inf, math.nan, "2"])
     def test_suite_refuses_gamma(self, gamma):
         with pytest.raises(DomainError):
-            hotel_policies(ForecastCurve(expected_total=30.0), gamma)
+            hotel_policies(30.0, gamma)
 
 
 class TestTinyInstances:
@@ -566,7 +567,7 @@ class TestSingleOffer:
 class TestFractional:
     def make(self, k, probs):
         setup = Setup(items=(Item(k=k, priceset=PriceSet([150.0, 450.0])),))
-        arrivals = ArrivalSequence(kind="fractional", probs=probs)
+        arrivals = ArrivalSequence(kind="single_offer", probs=probs)
         return setup, arrivals
 
     def test_basic_accounting(self):
@@ -579,7 +580,7 @@ class TestFractional:
         # single price: the value function stays below the price until the
         # item is exhausted, so the last bid is cut down to the remainder
         probs = tuple(((0.9,),) for _ in range(40))
-        arrivals = ArrivalSequence(kind="fractional", probs=probs)
+        arrivals = ArrivalSequence(kind="single_offer", probs=probs)
         small_setup = Setup(items=(Item(k=2, priceset=PriceSet([150.0])),))
         res_small = run_balance_fractional(small_setup, arrivals, 0)
         assert res_small.meta["truncations"] >= 1
@@ -599,23 +600,32 @@ class TestFractional:
 
 
 class TestForecastCurve:
+    """The forecast: a day's expected_total customers, booked over the days
+    before it as BOOKING_CURVE."""
+
     def test_interpolation(self):
-        c = ForecastCurve(expected_total=100.0)
-        assert c.fraction(40.0) == 0.0
-        assert c.fraction(35.0) == 0.0
-        assert c.fraction(30.0) == pytest.approx(0.25)
-        assert c.fraction(25.0) == pytest.approx(0.5)
-        assert c.fraction(12.5) == pytest.approx(0.75)
-        assert c.fraction(0.0) == 1.0
+        fraction = [interpolate(d, BOOKING_CURVE) for d in (40.0, 35.0, 30.0, 25.0, 12.5, 0.0)]
+        assert fraction == pytest.approx([0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+        assert fraction[0] == fraction[1] == 0.0 and fraction[-1] == 1.0
 
     @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0, "30", None])
     def test_bad_expected_total(self, total):
+        setup, products, model = small_choice_setting()
+        arrivals = assortment_arrivals(model, products, [0, 1])
+        for mode in ("one_shot", "resolving", "learning"):
+            with pytest.raises(DomainError, match="expected_total"):
+                run_bidprice(setup, arrivals, 0, mode=mode, expected_total=total)
         with pytest.raises(DomainError, match="expected_total"):
-            ForecastCurve(expected_total=total)
+            run_hybrid(setup, arrivals, 0, expected_total=total)
+        run_bidprice(setup, arrivals, 0, mode="clairvoyant", expected_total=total)
 
     def test_expected_total_takes_numbers(self):
-        for total in (0, 0.0, 30, np.float64(30.0), np.int64(30)):
-            assert ForecastCurve(expected_total=total).expected_total == total
+        setup, products, model = small_choice_setting()
+        arrivals = assortment_arrivals(model, products, [0, 1, 1, 0])
+        runs = [run_bidprice(setup, arrivals, 0, resolve_every=1, expected_total=total)
+                for total in (30, 30.0, np.float64(30.0), np.int64(30))]
+        assert len({digest_result(run) for run in runs}) == 1
+        run_bidprice(setup, arrivals, 0, expected_total=0)
 
 
 class TestAssortmentPolicies:
@@ -636,63 +646,56 @@ class TestAssortmentPolicies:
 
     def test_one_shot_single_lp_solve(self):
         setup, arrivals = self.setting()
-        curve = ForecastCurve(expected_total=30.0)
-        res = run_bidprice(setup, arrivals, mode="one_shot", forecast=curve)
+        res = run_bidprice(setup, arrivals, 0, mode="one_shot", expected_total=30.0)
         assert res.meta["lp_solves"] == 1
 
     def test_resolving_degenerates_to_one_shot(self):
         setup, arrivals = self.setting()
-        curve = ForecastCurve(expected_total=30.0)
-        one = run_bidprice(setup, arrivals, mode="one_shot", forecast=curve, rng_seed=5)
-        slow = run_bidprice(setup, arrivals, mode="resolving", forecast=curve,
+        one = run_bidprice(setup, arrivals, mode="one_shot", expected_total=30.0, rng_seed=5)
+        slow = run_bidprice(setup, arrivals, mode="resolving", expected_total=30.0,
                             resolve_every=10**9, rng_seed=5)
         assert one.revenue == pytest.approx(slow.revenue)
         assert one.sales_log == slow.sales_log
 
     def test_resolving_solves_repeatedly(self):
         setup, arrivals = self.setting()
-        curve = ForecastCurve(expected_total=30.0)
-        res = run_bidprice(setup, arrivals, mode="resolving", forecast=curve,
+        res = run_bidprice(setup, arrivals, 0, mode="resolving", expected_total=30.0,
                            resolve_every=5)
         assert res.meta["lp_solves"] > 1
 
     def test_clairvoyant_needs_no_curve(self):
         setup, arrivals = self.setting()
-        res = run_bidprice(setup, arrivals, mode="clairvoyant", resolve_every=10)
+        res = run_bidprice(setup, arrivals, 0, mode="clairvoyant", resolve_every=10)
         assert res.revenue >= 0.0
 
     def test_forecast_required(self):
         setup, arrivals = self.setting()
         with pytest.raises(DomainError):
-            run_bidprice(setup, arrivals, mode="resolving", forecast=None)
+            run_bidprice(setup, arrivals, 0, mode="resolving", expected_total=None)
         with pytest.raises(DomainError):
-            run_bidprice(setup, arrivals, mode="bogus",
-                         forecast=ForecastCurve(expected_total=30.0))
+            run_bidprice(setup, arrivals, 0, mode="bogus", expected_total=30.0)
 
     def test_hybrid_gamma_bounds(self):
         setup, arrivals = self.setting()
         with pytest.raises(DomainError):
-            run_hybrid(setup, arrivals, gamma=1.0,
-                       forecast=ForecastCurve(expected_total=30.0))
+            run_hybrid(setup, arrivals, 0, gamma=1.0, expected_total=30.0)
         with pytest.raises(DomainError, match="gamma"):
-            run_hybrid(setup, arrivals, gamma="2",
-                       forecast=ForecastCurve(expected_total=30.0))
+            run_hybrid(setup, arrivals, 0, gamma="2", expected_total=30.0)
 
     @pytest.mark.parametrize("every", [0, -1, 1.5, "5", True, None])
     @pytest.mark.parametrize("mode", ["one_shot", "resolving", "hybrid"])
     def test_bad_resolve_every(self, mode, every):
         setup, arrivals = self.setting()
-        curve = ForecastCurve(expected_total=30.0)
         with pytest.raises(DomainError, match="resolve_every"):
             if mode == "hybrid":
-                run_hybrid(setup, arrivals, resolve_every=every, forecast=curve)
+                run_hybrid(setup, arrivals, 0, resolve_every=every, expected_total=30.0)
             else:
-                run_bidprice(setup, arrivals, mode=mode, resolve_every=every, forecast=curve)
+                run_bidprice(setup, arrivals, 0, mode=mode, resolve_every=every,
+                             expected_total=30.0)
 
     def test_resolve_every_takes_numpy_integers(self):
         setup, arrivals = self.setting()
-        curve = ForecastCurve(expected_total=30.0)
-        runs = [run_bidprice(setup, arrivals, resolve_every=every, forecast=curve)
+        runs = [run_bidprice(setup, arrivals, 0, resolve_every=every, expected_total=30.0)
                 for every in (5, np.int64(5))]
         assert runs[0] == runs[1]
 
@@ -700,20 +703,19 @@ class TestAssortmentPolicies:
         # with a huge gamma only forecast offers with nonpositive
         # pseudorevenue are overridden
         setup, arrivals = self.setting()
-        curve = ForecastCurve(expected_total=30.0)
         hyb = run_hybrid(setup, arrivals, gamma=1e9,
-                         forecast=curve, rng_seed=2)
+                         expected_total=30.0, rng_seed=2)
         tight = run_hybrid(setup, arrivals, gamma=1.0 + 1e-9,
-                           forecast=curve, rng_seed=2)
+                           expected_total=30.0, rng_seed=2)
         assert hyb.meta["override_fraction"] <= tight.meta["override_fraction"]
         again = run_hybrid(setup, arrivals, gamma=1e9,
-                           forecast=curve, rng_seed=2)
+                           expected_total=30.0, rng_seed=2)
         assert again.revenue == hyb.revenue
 
     def test_hybrid_override_monotone_in_gamma(self):
         setup, arrivals = self.setting(T=60, seed=3)
-        curve = ForecastCurve(expected_total=20.0)  # deliberately poor forecast
-        tight = run_hybrid(setup, arrivals, gamma=1.0 + 1e-9, forecast=curve,
+        total = 20.0  # deliberately poor forecast
+        tight = run_hybrid(setup, arrivals, gamma=1.0 + 1e-9, expected_total=total,
                            rng_seed=4)
-        loose = run_hybrid(setup, arrivals, gamma=5.0, forecast=curve, rng_seed=4)
+        loose = run_hybrid(setup, arrivals, gamma=5.0, expected_total=total, rng_seed=4)
         assert tight.meta["override_fraction"] >= loose.meta["override_fraction"]

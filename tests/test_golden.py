@@ -21,7 +21,6 @@ import pytest
 from multiprice import (
     ArrivalSequence,
     ExperimentConfig,
-    ForecastCurve,
     Item,
     PriceSet,
     Setup,
@@ -87,7 +86,7 @@ def instance(name):
     if name == "det_adversary":
         inst = build_instance(build_value_function([1.0, 3.0]), 12, 2, 5)
         return inst.setup, inst.arrivals
-    if name in ("single_offer", "fractional"):
+    if name in ("single_offer", "fractional"):  # fractional: the fluid policy's instance
         rng = np.random.default_rng(1002 if name == "single_offer" else 1003)
         items = _random_items(rng, 3, 3, 6)
         probs = tuple(
@@ -96,7 +95,7 @@ def instance(name):
                   for it in items)
             for _ in range(40)
         )
-        return Setup(items=items), ArrivalSequence(kind=name, probs=probs)
+        return Setup(items=items), ArrivalSequence(kind="single_offer", probs=probs)
     if name.startswith("ties_"):
         # identical items, and p * price equal at both prices: exact ties
         # that only the scan order breaks
@@ -104,7 +103,7 @@ def instance(name):
         rows = (((0.5, 0.25),) * 3,
                 ((0.8, 0.4), (0.8, 0.4), (0.0, 0.0)),
                 ((0.0, 0.0), (0.6, 0.3), (0.6, 0.3)))
-        return Setup(items=items), ArrivalSequence(kind=name[5:], probs=rows * 10)
+        return Setup(items=items), ArrivalSequence(kind="single_offer", probs=rows * 10)
     if name.startswith("assortment"):
         # rooms to spare, or scarce enough that the hybrid overrides often
         lf = 1.8 if name == "assortment_scarce" else 0.9
@@ -114,7 +113,7 @@ def instance(name):
     raise KeyError(name)
 
 
-CURVE = ForecastCurve(expected_total=120.0)
+CURVE = 120.0  # the expected number of customers of the day
 DET = ("det_random", "det_adversary")
 ASSORT = ("assortment", "assortment_scarce")
 SINGLE = ("single_offer", "ties_single_offer")
@@ -134,10 +133,10 @@ CASES = (
      ("balance_assortment_ideal", run_balance_assortment, ASSORT,
       {"perturbed": False})]
     + [("bidprice_" + mode, run_bidprice, ASSORT,
-        {"mode": mode, "forecast": CURVE, "resolve_every": 30})
+        {"mode": mode, "expected_total": CURVE, "resolve_every": 30})
        for mode in ("one_shot", "resolving", "learning", "clairvoyant")]
     + [("hybrid_gamma_%s" % gamma, run_hybrid, ASSORT,
-        {"gamma": gamma, "forecast": CURVE, "resolve_every": 30})
+        {"gamma": gamma, "expected_total": CURVE, "resolve_every": 30})
        for gamma in (1.2, 3.0)]
 )
 

@@ -10,7 +10,6 @@ from multiprice import (
     ArrivalSequence,
     DomainError,
     ExperimentConfig,
-    ForecastCurve,
     ValidationError,
     default_hotel_model,
     generate_hotel_ensemble,
@@ -22,7 +21,7 @@ from multiprice import (
     solve_choice_lp,
 )
 from multiprice import lp
-from multiprice.engine import BOOKING_CURVE, _forecast_counts, count_types
+from multiprice.engine import BOOKING_CURVE, _forecast_counts, count_types, interpolate
 from multiprice.harness import (
     CSV_SCHEMA_HEADER,
     DEFAULT_WEEK_PROFILE,
@@ -101,7 +100,7 @@ class TestSampleDaysOut:
 
 
 def parent_fraction(days_out):
-    """ForecastCurve.fraction as it walked BOOKING_CURVE by hand."""
+    """The forecast's booked fraction as it walked BOOKING_CURVE by hand."""
     pts = BOOKING_CURVE
     if days_out >= pts[0][0]:
         return pts[0][1]
@@ -125,12 +124,14 @@ def parent_days_out(u):
 
 class TestBookingCurve:
     def test_fraction_bit_identical_to_parent(self):
-        curve = ForecastCurve(expected_total=1.0)
+        def fraction(days_out):
+            return interpolate(days_out, BOOKING_CURVE)
+
         rng = np.random.default_rng(5)
         days = list(rng.uniform(-5.0, 45.0, 20000)) + [-1.0, 0.0, 25.0, 35.0, 36.0]
         for d in days:
-            assert curve.fraction(d).hex() == parent_fraction(d).hex()
-        assert (curve.fraction(35.0), curve.fraction(1e9), curve.fraction(-0.5)) == (0, 0, 1)
+            assert fraction(d).hex() == parent_fraction(d).hex()
+        assert (fraction(35.0), fraction(1e9), fraction(-0.5)) == (0, 0, 1)
 
     def test_days_out_bit_identical_to_parent(self):
         rng = np.random.default_rng(6)
@@ -229,6 +230,12 @@ class TestIngest:
         by_date = ingest_transactions(io.StringIO(text), replicate=3)
         assert len(by_date[5].types) == 3
 
+    @pytest.mark.parametrize("replicate", [2.5, 0, -1])
+    def test_replicate_must_be_a_positive_integer(self, replicate):
+        text = CSV_HEADER + "1,5,1,Queen,low,0,0,0\n"
+        with pytest.raises(ValidationError, match="replicate"):
+            ingest_transactions(io.StringIO(text), replicate=replicate)
+
     def test_empty_file(self):
         assert ingest_transactions(io.StringIO("")) == {}
 
@@ -265,15 +272,15 @@ class TestIngest:
         text = CSV_HEADER + "".join("%d,50,1,King,low,0,0,0\n" % b for b in (5, 6, 7, 40))
         arrivals = ingest_transactions(io.StringIO(text))[50]
         assert arrivals.days_out == (45.0, 44.0, 43.0, 10.0)
-        model, curve = arrivals.model, ForecastCurve(expected_total=30.0)
+        model = arrivals.model
         for t in (1, 2):
-            assert _forecast_counts("resolving", model, arrivals, t, curve) == \
+            assert _forecast_counts("resolving", model, arrivals, t, 30.0) == \
                 [(30.0 - t) * s for s in model.type_shares]
         # 10 days out the curve has booked 0.8 of the day: 3 seen, 0.75 to come
-        assert _forecast_counts("resolving", model, arrivals, 3, curve) == \
+        assert _forecast_counts("resolving", model, arrivals, 3, 30.0) == \
             pytest.approx([0.75 * s for s in model.type_shares])
         setup = hotel_setup(default_hotel_model(), 1.6, 30.0)
-        res = run_bidprice(setup, arrivals, 0, resolve_every=1, forecast=curve)
+        res = run_bidprice(setup, arrivals, 0, resolve_every=1, expected_total=30.0)
         assert res.meta["lp_solves"] == 4
 
     def test_file_path(self, tmp_path):
@@ -329,6 +336,19 @@ class TestRunExperiment:
             small_config(trials=0)
         with pytest.raises(ValidationError):
             small_config(loading_factors=(1.5, -1.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("trials", None), ("n_days", 1.5), ("n_days", -1),
+        ("base_seed", -1), ("base_seed", 1.5), ("loading_factors", ("a",)),
+    ])
+    def test_config_refuses_counts_and_factors(self, field, value):
+        with pytest.raises(ValidationError):
+            small_config(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = small_config(trials=np.int64(2), n_days=np.uint8(1), base_seed=np.int64(3))
+        assert (type(cfg.trials), type(cfg.n_days), type(cfg.base_seed)) == (int, int, int)
+        assert cfg == small_config(trials=2, n_days=1, base_seed=3)
 
     @pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf])
     def test_config_refuses_mean_daily_arrivals(self, mean):

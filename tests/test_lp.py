@@ -22,6 +22,7 @@ from multiprice import (
     SolverLimitError,
     assortment_value,
     run_balance,
+    run_balance_fractional,
     run_gnr,
     run_myopic,
     simplex_max,
@@ -312,11 +313,29 @@ class TestPrimalLp:
             sol = solve_primal(setup, ArrivalSequence(kind="single_offer", probs=probs))
             assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
 
-    def test_rejects_fractional(self):
-        setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0])),))
-        arr = ArrivalSequence(kind="fractional", probs=(((0.5,),),))
-        with pytest.raises(DomainError):
-            solve_primal(setup, arr)
+    def test_bounds_the_fluid_run(self):
+        # fluid balance offers customer t one (item, price) and books the
+        # mass accepted = x p with x <= 1, within the item's inventory: a
+        # feasible point of this LP, so the LP bounds its revenue
+        rng = np.random.default_rng(72)
+        for _ in range(30):
+            n, T = int(rng.integers(1, 4)), int(rng.integers(1, 12))
+            items = tuple(
+                Item(k=int(rng.integers(1, 3)),
+                     priceset=PriceSet(sorted(rng.uniform(1, 50, size=int(rng.integers(1, 4))))))
+                for _ in range(n)
+            )
+            setup = Setup(items=items)
+            probs = tuple(
+                tuple(tuple(float(p) if rng.random() < 0.7 else 0.0
+                            for p in rng.uniform(0, 1, size=it.priceset.m)) for it in items)
+                for _ in range(T)
+            )
+            arrivals = ArrivalSequence(kind="single_offer", probs=probs)
+            fluid = run_balance_fractional(setup, arrivals, 0)
+            for t, i, j, amount, _ in fluid.sales_log:
+                assert amount <= probs[t][i][j - 1] * items[i].priceset.price(j) + 1e-12
+            assert fluid.revenue <= solve_primal(setup, arrivals).objective + 1e-9
 
     def test_size_guard(self):
         setup = Setup(items=tuple(
@@ -514,6 +533,13 @@ class TestChoiceLp:
         tight = solve_choice_lp(setup, [8.0, 8.0], model, products,
                                 capacities=[1, 0])
         assert tight.objective < full.objective
+
+    @pytest.mark.parametrize("bad", [(0, 3), (2, 1), (0, 0), (0, 1.5), (0, 1, 2), 5])
+    def test_products_must_be_pairs_of_the_setup(self, bad):
+        # item 0 has two prices and the setup two items
+        setup, products, model = small_choice_setting()
+        with pytest.raises(DomainError, match="not an .item, price index. pair"):
+            solve_choice_lp(setup, [4.0, 4.0], model, products[:3] + (bad,))
 
     def test_count_validation(self):
         setup, products, model = small_choice_setting()

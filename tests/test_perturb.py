@@ -74,6 +74,19 @@ class TestRoundBorders:
         with pytest.raises(DomainError):
             round_borders(vf, 2, 1.0)
 
+    def test_takes_numpy_integers(self):
+        vf = build_value_function([1.0, 3.0])
+        for k in (np.int64(2), np.uint8(2)):
+            assert round_borders(vf, k, 0.3) == round_borders(vf, 2, 0.3)
+        for k in (True, 2.0):
+            with pytest.raises(DomainError):
+                round_borders(vf, k, 0.3)
+
+    @pytest.mark.parametrize("k", [0, 2.5])
+    def test_certified_bounds_refuse_k(self, k):
+        with pytest.raises(DomainError):
+            certified_lower_bounds(build_value_function([1.0, 3.0]), k)
+
 
 class TestDistributionLaws:
     def test_expectation_and_distortion(self):
