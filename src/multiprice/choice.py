@@ -60,6 +60,9 @@ class MnlModel:
             raise ValidationError("utilities must give finite choice weights and exp(u0) > 0")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "w0", w0)
+        # each type's choosable products, those of utility above NEVER
+        object.__setattr__(self, "choosable", tuple(
+            tuple(p for p, u in enumerate(row) if u != NEVER) for row in self.utilities))
 
     @property
     def n_types(self):
@@ -101,24 +104,19 @@ def optimize_assortment(model, a, pi):
     model._check_type(a)
     if len(pi) != model.n_products:
         raise DomainError("pi length mismatch")
-    cands = [
-        p
-        for p in range(model.n_products)
-        if pi[p] > 0.0 and model.utilities[a][p] != NEVER
-    ]
-    cands.sort(key=lambda p: -pi[p])
-    best_s, best_v = (), 0.0
+    cands = [p for p in model.choosable[a] if pi[p] > 0.0]
+    cands.sort(key=pi.__getitem__, reverse=True)  # stable: ties keep product order
+    best_end, best_v = 0, 0.0
     ws, weight_sum = model.weights[a], model.w0[a]
     value_sum = 0.0
-    for end in range(1, len(cands) + 1):
-        p = cands[end - 1]
+    for end, p in enumerate(cands, 1):
         w = ws[p]
         weight_sum += w
         value_sum += w * pi[p]
         v = value_sum / weight_sum
         if v > best_v + 1e-15:
-            best_s, best_v = tuple(sorted(cands[:end])), v
-    return best_s, best_v
+            best_end, best_v = end, v
+    return tuple(sorted(cands[:best_end])), best_v
 
 
 def sample_choice(model, a, assortment, rng):

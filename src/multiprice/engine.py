@@ -250,14 +250,15 @@ def _stream(rng_seed, i):
 
 
 class Ledger:
-    """Sale bookkeeping shared by every policy: units sold per item, revenue
-    and the sales log.  Selling a unit of an item that has none left is a
-    fault of the policy and raises MultipriceError."""
+    """Sale bookkeeping shared by every policy: units sold per item, items
+    sold out, revenue and the sales log.  Selling a unit of an item that has
+    none left is a fault of the policy and raises MultipriceError."""
 
     def __init__(self, setup):
         self.items = setup.items
         self.ks = [it.k for it in setup.items]
         self.sold = [0] * setup.n
+        self.sold_out = 0  # items with no unit left, counted as they sell out
         self.revenue = 0.0
         self.log = []  # (t, item, price index, amount, offer value)
 
@@ -271,6 +272,8 @@ class Ledger:
             raise MultipriceError("item %d would sell more than its %d units"
                                   % (i, self.ks[i]))
         self.sold[i] += 1
+        if self.sold[i] == self.ks[i]:
+            self.sold_out += 1
         price = self.items[i].priceset.price(j)
         self.book(t, i, j, price, z)
         return price
@@ -289,7 +292,16 @@ class _Offer:
     """Offer values: item i at price index j is worth combine(bid[i, j],
     state[i]).  Columns are the items, or for ranking the units of item
     col_item[c].  With levels, a column's state after s sales is
-    levels[c][s]; its last level, sold out, makes no offer on it worth it."""
+    levels[c][s]; its last level, sold out, makes no offer on it worth it.
+
+    An offer serves one run, with one ledger, product list and choice
+    model, and two memos spare its assortment loop work done before.
+    values() keeps the list it built until it goes stale: at a write to the
+    state, which goes through advance, put or a refresh that solved, or
+    when the ledger sells another item out.  best() keeps, per customer
+    type, the last pi and the oracle's answer for it, and asks the oracle
+    again only for a pi that differs; the oracle is a pure function, so the
+    answers are those it would give."""
 
     def __init__(self, bid, combine, levels=None, col_item=None, state=None):
         self.bid = bid
@@ -298,6 +310,8 @@ class _Offer:
         self.col_item = np.arange(len(bid)) if col_item is None else col_item
         self.state = np.array([lv[0] for lv in levels]) if state is None else state
         self.count = [0] * len(self.state)
+        self._values = None  # (the ledger's sold-out count, values)
+        self._best = {}  # type -> (pi, optimize_assortment(model, type, pi))
 
     @functools.cached_property
     def rows(self):
@@ -308,16 +322,36 @@ class _Offer:
         return self.combine(self.rows[i][j], self.state[i])
 
     def values(self, products, ledger):
-        """Offer value of each product, 0 once its item is sold out."""
+        """Offer value of each product, 0 once its item is sold out; the
+        list is shared with later calls, so it must not be changed."""
+        memo = self._values
+        if memo is not None and memo[0] == ledger.sold_out:
+            return memo[1]
         rows, state, combine = self.rows, self.state.tolist(), self.combine
         sold, ks = ledger.sold, ledger.ks
-        return [combine(rows[i][j], state[i]) if sold[i] < ks[i] else 0.0
-                for i, j in products]
+        values = [combine(rows[i][j], state[i]) if sold[i] < ks[i] else 0.0
+                  for i, j in products]
+        self._values = (ledger.sold_out, values)
+        return values
+
+    def best(self, model, a, pi):
+        """optimize_assortment(model, a, pi), asked again only when pi
+        differs from the last this offer saw for type a."""
+        memo = self._best.get(a)
+        if memo is None or memo[0] != pi:
+            memo = self._best[a] = (pi, optimize_assortment(model, a, pi))
+        return memo[1]
+
+    def put(self, c, state):
+        """Set column c's state."""
+        self.state[c] = state
+        self._values = None
 
     def advance(self, c):
         if self.levels is not None:
             self.count[c] += 1
             self.state[c] = self.levels[c][self.count[c]]
+            self._values = None
 
     def refresh(self, t):
         """Runs before arrival t; only bid prices change here."""
@@ -427,7 +461,7 @@ def _fractional_loop(setup, arrivals, offer, ledger, vfs):
         if accept < p:
             truncations += 1
         w[i] = min(1.0, w[i] + accept / ks[i])
-        offer.state[i] = vfs[i].phi(w[i])
+        offer.put(i, vfs[i].phi(w[i]))
         ledger.book(t, i, j, accept * setup.items[i].priceset.price(j), float(z))
     return ledger.result(final_inventory=[k * (1.0 - wi) for k, wi in zip(ks, w)],
                          meta={"truncations": truncations})
@@ -443,7 +477,7 @@ def _assortment_loop(setup, arrivals, rng_seed, offer, ledger, choose=None):
         offer.refresh(t)
         if choose is None:
             pi = offer.values(products, ledger)
-            s = optimize_assortment(model, a, pi)[0]
+            s = offer.best(model, a, pi)[0]
         else:
             s, pi = choose(t, a)
         if not s:
@@ -582,18 +616,24 @@ def _forecast_counts(mode, model, arrivals, t, expected_total):
     return [remaining * s for s in shares]
 
 
+def _check_forecast(mode, expected_total):
+    """Raise DomainError unless mode is a forecasting mode and, in every
+    mode but clairvoyant, expected_total is a finite number >= 0."""
+    if mode not in FORECAST_MODES:
+        raise DomainError("unknown mode %r" % (mode,))
+    if mode != "clairvoyant" and not (isinstance(expected_total, numbers.Real)
+                                      and 0.0 <= expected_total < math.inf):
+        raise DomainError("forecasting mode %r needs an expected_total, a finite number "
+                          ">= 0, got %r" % (mode, expected_total))
+
+
 class _BidPriceOffer(_Offer):
     """Fare minus the item's bid price, its dual in the choice LP over the
     forecast remaining demand and the remaining inventory, solved at t = 0
     and, unless the mode is one_shot, every resolve_every arrivals."""
 
     def __init__(self, setup, arrivals, ledger, mode, resolve_every, expected_total):
-        if mode not in FORECAST_MODES:
-            raise DomainError("unknown mode %r" % (mode,))
-        if mode != "clairvoyant" and not (isinstance(expected_total, numbers.Real)
-                                          and 0.0 <= expected_total < math.inf):
-            raise DomainError("forecasting mode %r needs an expected_total, a finite number "
-                              ">= 0, got %r" % (mode, expected_total))
+        _check_forecast(mode, expected_total)
         super().__init__(setup.price_table, operator.sub, state=np.zeros(setup.n))
         self.mode, self.every = mode, as_int(resolve_every, 1, "resolve_every")
         self.context = (setup, arrivals, ledger, expected_total)
@@ -610,6 +650,7 @@ class _BidPriceOffer(_Offer):
         sol = solve_choice_lp(setup, [max(c, 0.0) for c in counts], arrivals.model,
                               arrivals.products, capacities=ledger.remaining(), pool=self.pool)
         self.state[:] = sol.duals_items
+        self._values = None
         self.solves += 1
 
 
@@ -656,8 +697,8 @@ def run_hybrid(setup, arrivals, rng_seed, gamma=1.5, resolve_every=100, expected
         nonlocal overrides
         forecast_offer.refresh(t)
         pi_bal = balance_offer.values(products, ledger)
-        s_fcst, _ = optimize_assortment(model, a, forecast_offer.values(products, ledger))
-        s_bal, v_max = optimize_assortment(model, a, pi_bal)
+        s_fcst, _ = forecast_offer.best(model, a, forecast_offer.values(products, ledger))
+        s_bal, v_max = balance_offer.best(model, a, pi_bal)
         v_fcst = assortment_value(model, a, s_fcst, pi_bal)
         if v_fcst + POSITIVITY_EPS >= v_max / gamma:
             return s_fcst, pi_bal
@@ -685,7 +726,9 @@ def hotel_policies(expected_total, gamma):
     """The hotel simulation's suite as (name, policy) pairs: myopic, gnr,
     balance over assortments, a bid-price policy per forecasting mode and the
     hybrid.  Its runners are looked up when this is called, not at import,
-    so a wrapper put on them in the meantime is the one the suite calls."""
+    so a wrapper put on them in the meantime is the one the suite calls.
+    A bad expected_total or gamma is refused here, before any run."""
+    _check_forecast("resolving", expected_total)
     _check_gamma(gamma)
     return (
         ("myopic", POLICIES["myopic"]),

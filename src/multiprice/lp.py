@@ -191,6 +191,8 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None, pool=N
     """
     check_products(setup, products)
     caps = tuple(it.k for it in setup.items) if capacities is None else tuple(capacities)
+    _check_amounts(caps, setup.n, "capacities")
+    _check_amounts(type_counts, model.n_types, "type counts")
     if pool:
         return _column_generation(setup, type_counts, model, products, caps, pool)
     sol, cols = _fresh_solve(setup, tuple(type_counts), model, tuple(map(tuple, products)),
@@ -212,13 +214,17 @@ def _fresh_solve(setup, type_counts, model, products, capacities):
     return sol, tuple(pool.items())
 
 
+def _check_amounts(amounts, n, name):
+    """Raise DomainError unless amounts holds n finite real numbers >= 0."""
+    if len(amounts) != n:
+        raise DomainError("%s needs %d entries, got %d" % (name, n, len(amounts)))
+    if not all(isinstance(x, numbers.Real) and 0.0 <= x < math.inf for x in amounts):
+        raise DomainError("%s must be finite numbers >= 0, got %r" % (name, amounts))
+
+
 def _column_generation(setup, type_counts, model, products, capacities, pool):
     n = setup.n
     A_types = model.n_types
-    if len(type_counts) != A_types:
-        raise DomainError("type_counts length mismatch")
-    if not all(isinstance(cnt, numbers.Real) and 0.0 <= cnt < math.inf for cnt in type_counts):
-        raise DomainError("type counts must be finite numbers >= 0")
     fares = [setup.items[i].priceset.price(j) for i, j in products]
 
     def add_col(a, s):

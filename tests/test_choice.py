@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiprice import (
     DomainError,
@@ -17,6 +20,7 @@ from multiprice import (
     optimize_assortment,
     sample_choice,
 )
+from multiprice import engine
 
 
 def simple_model():
@@ -136,6 +140,65 @@ class TestModelValidation:
             MnlModel(n_products=len(model["utilities"][0]), **model)
 
 
+def prefix_reference(model, a, pi):
+    """optimize_assortment as it was before each type's choosable products
+    were kept on the model: the candidates filtered from every product and
+    sorted on -pi, the prefix sorted on each improvement.  Kept verbatim as
+    the reference for the oracle and for the offers' memo of it."""
+    model._check_type(a)
+    if len(pi) != model.n_products:
+        raise DomainError("pi length mismatch")
+    cands = [
+        p
+        for p in range(model.n_products)
+        if pi[p] > 0.0 and model.utilities[a][p] != NEVER
+    ]
+    cands.sort(key=lambda p: -pi[p])
+    best_s, best_v = (), 0.0
+    ws, weight_sum = model.weights[a], model.w0[a]
+    value_sum = 0.0
+    for end in range(1, len(cands) + 1):
+        p = cands[end - 1]
+        w = ws[p]
+        weight_sum += w
+        value_sum += w * pi[p]
+        v = value_sum / weight_sum
+        if v > best_v + 1e-15:
+            best_s, best_v = tuple(sorted(cands[:end])), v
+    return best_s, best_v
+
+
+# few distinct values, so that utilities and adjusted values tie
+UTILITIES = st.one_of(st.sampled_from([NEVER, -1.0, 0.0, 0.5, 1.0]), st.floats(-3.0, 3.0))
+PI_VALUES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                      st.floats(-5.0, 5.0))
+
+
+@st.composite
+def oracle_queries(draw):
+    """A model and a sequence of (type, pi) queries drawn from a pool of a
+    few pis, so that a type sees the same pi again, as an equal list or as
+    the same one."""
+    n, n_types = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    model = MnlModel(
+        n_products=n,
+        type_shares=(1.0,) + (0.0,) * (n_types - 1),
+        u0=tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=n_types, max_size=n_types))),
+        utilities=draw(st.lists(st.lists(UTILITIES, min_size=n, max_size=n),
+                                min_size=n_types, max_size=n_types)),
+    )
+    pool = draw(st.lists(st.lists(PI_VALUES, min_size=n, max_size=n), min_size=1, max_size=3))
+    queries = draw(st.lists(st.tuples(st.integers(0, n_types - 1), st.sampled_from(pool)),
+                            min_size=1, max_size=12))
+    copies = draw(st.lists(st.booleans(), min_size=len(queries), max_size=len(queries)))
+    return model, [(a, list(pi) if copy else pi) for (a, pi), copy in zip(queries, copies)]
+
+
+def exact(result):
+    s, v = result
+    return s, v.hex()
+
+
 class TestOptimizeAssortment:
     def test_prefix_vs_brute_force(self):
         rng = np.random.default_rng(47)
@@ -157,6 +220,21 @@ class TestOptimizeAssortment:
     def test_pi_length(self):
         with pytest.raises(DomainError):
             optimize_assortment(simple_model(), 0, (1.0,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=oracle_queries())
+    def test_equals_the_prefix_reference(self, case):
+        # bit for bit, called directly and through an offer's memo, which
+        # asks the oracle again only for a pi it has not just seen
+        model, queries = case
+        offer = engine._Offer(np.zeros((1, 1)), operator.sub, state=np.zeros(1))
+        for a, pi in queries:
+            want = exact(prefix_reference(model, a, pi))
+            assert exact(optimize_assortment(model, a, pi)) == want
+            assert exact(offer.best(model, a, pi)) == want
+
+    def test_choosable_products(self):
+        assert simple_model().choosable == ((0, 1, 2), (1, 2))
 
 
 class TestSampling:

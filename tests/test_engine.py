@@ -2,6 +2,7 @@
 safety, the dual-trail certificate, and the forecasting/hybrid variants."""
 
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from multiprice import (
     run_myopic,
     run_ranking,
 )
-from multiprice import cli, engine, perturb
+from multiprice import choice, cli, engine, perturb
 from multiprice.engine import (BOOKING_CURVE, POLICIES, Ledger, hotel_policies, interpolate, psi,
                                validate)
 
@@ -425,6 +426,12 @@ class TestPolicyRegistry:
         with pytest.raises(DomainError):
             hotel_policies(30.0, gamma)
 
+    @pytest.mark.parametrize("total", [-1.0, math.nan, math.inf, "30", None])
+    def test_suite_refuses_expected_total(self, total):
+        # refused when the suite is built, by the rule the bid-price runners use
+        with pytest.raises(DomainError, match="expected_total"):
+            hotel_policies(total, 1.5)
+
 
 class TestTinyInstances:
     def test_single_sale(self):
@@ -719,3 +726,50 @@ class TestAssortmentPolicies:
                            rng_seed=4)
         loose = run_hybrid(setup, arrivals, gamma=5.0, expected_total=total, rng_seed=4)
         assert tight.meta["override_fraction"] >= loose.meta["override_fraction"]
+
+
+class TestOfferMemo:
+    def test_forecast_values_drop_a_sold_out_item(self):
+        # the hybrid's forecast offer never advances, so only the ledger
+        # tells its cached values that an item has sold out
+        setup, products, model = small_choice_setting()
+        arrivals = assortment_arrivals(model, products, [0, 1] * 5)
+        ledger = Ledger(setup)
+        offer = engine._BidPriceOffer(setup, arrivals, ledger, "resolving", 100, 30.0)
+        offer.refresh(0)
+        before = offer.values(products, ledger)
+        item = 1
+        for unit in range(setup.items[item].k):
+            assert offer.values(products, ledger) is before  # nothing sold out yet
+            ledger.sell(unit, item, 1, 0.0)
+        after = offer.values(products, ledger)
+        assert [v for (i, _), v in zip(products, after) if i == item] == [0.0, 0.0]
+        assert [v for (i, _), v in zip(products, after) if i != item] == \
+            [v for (i, _), v in zip(products, before) if i != item]
+        assert any(v != 0.0 for (i, _), v in zip(products, before) if i == item)
+
+    def test_state_writes_make_values_stale(self):
+        setup, products, model = small_choice_setting()
+        ledger = Ledger(setup)
+        offer, _ = engine._balance_offer(setup, 0, perturbed=False)
+        first = offer.values(products, ledger)
+        offer.advance(0)
+        advanced = offer.values(products, ledger)
+        assert advanced[:2] != first[:2] and advanced[2:] == first[2:]
+        offer.put(1, 0.0)
+        assert offer.values(products, ledger)[2:] == [offer.value(i, j) for i, j in products[2:]]
+
+    def test_best_asks_the_oracle_once_per_pi(self, monkeypatch):
+        setup, products, model = small_choice_setting()
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return choice.optimize_assortment(*args)
+
+        monkeypatch.setattr(engine, "optimize_assortment", counted)
+        offer = engine._Offer(setup.price_table, operator.sub, state=np.zeros(setup.n))
+        pi = [1.0, 2.0, 0.5, 0.0]
+        for a, query in ((0, pi), (0, list(pi)), (1, pi), (0, pi), (0, pi[::-1]), (1, pi)):
+            assert offer.best(model, a, query) == choice.optimize_assortment(model, a, query)
+        assert calls == [0, 1, 0]

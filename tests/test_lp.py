@@ -559,6 +559,19 @@ class TestChoiceLp:
             with pytest.raises(DomainError, match="type counts"):
                 solve_choice_lp(setup, [bad, 2.0], model, products, pool=pool)
 
+    @pytest.mark.parametrize("caps", [[1], [1, 2, 3], [1, "a"], [1, None], [1, math.nan],
+                                      [math.inf, 1], [1, -1]])
+    def test_capacities_must_fit_the_items(self, empty_memo, caps):
+        # one finite number >= 0 per item, refused before the memo is read
+        setup, products, model = small_choice_setting()
+        pooled = {}
+        solve_choice_lp(setup, [2.0, 2.0], model, products, pool=pooled)
+        before = empty_memo.cache_info()
+        for pool in (None, pooled):
+            with pytest.raises(DomainError, match="capacities"):
+                solve_choice_lp(setup, [2.0, 2.0], model, products, capacities=caps, pool=pool)
+        assert empty_memo.cache_info() == before
+
     def test_objective_monotone_in_counts(self):
         setup, products, model = small_choice_setting()
         lo = solve_choice_lp(setup, [1.0, 1.0], model, products).objective
