@@ -16,8 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ArrivalSequence, Item, Setup
-from .errors import DomainError, as_int
+from .errors import DomainError, SolverLimitError, as_int
 from .valuefn import PriceSet
+
+# an instance holds at most this many bid-row cells (n * n) and this many
+# units (n * k, one column each under ranking)
+MAX_INSTANCE_SIZE = 10_000_000
 
 
 def solve_betas(vf):
@@ -61,6 +65,9 @@ def build_instance(vf, n, k, rng_seed):
     price of its phase."""
     priceset = vf.priceset
     n, k = as_int(n, priceset.m, "n"), as_int(k, 1, "k")
+    if max(n, k) * n > MAX_INSTANCE_SIZE:
+        raise SolverLimitError("an instance of n = %d items of k = %d units exceeds %d "
+                               "cells (n * n) or units (n * k)" % (n, k, MAX_INSTANCE_SIZE))
     _, betas = solve_betas(vf)
     m = priceset.m
 

@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, as_int
 
 NEVER = float("-inf")
 
@@ -38,6 +38,7 @@ class MnlModel:
         object.__setattr__(self, "type_shares", tuple(self.type_shares))
         object.__setattr__(self, "u0", tuple(self.u0))
         object.__setattr__(self, "utilities", tuple(map(tuple, self.utilities)))
+        object.__setattr__(self, "n_types", len(self.type_shares))  # an attribute, cheap to read
         if not all(isinstance(s, numbers.Real) and 0.0 <= s < math.inf for s in self.type_shares):
             raise ValidationError("type shares must be finite and >= 0")
         if abs(sum(self.type_shares) - 1.0) > 1e-12:
@@ -64,35 +65,43 @@ class MnlModel:
         object.__setattr__(self, "choosable", tuple(
             tuple(p for p, u in enumerate(row) if u != NEVER) for row in self.utilities))
 
-    @property
-    def n_types(self):
-        return len(self.type_shares)
-
-    def _check_type(self, a):
-        if not 0 <= a < self.n_types:
-            raise DomainError("unknown customer type %r" % (a,))
-
 
 def choice_probs(model, a, assortment):
     """Choice probability of each offered product and of no-purchase.
 
-    Returns (probs, p0) where probs is a dict product -> probability.
+    Returns (probs, p0) where probs is a dict product -> probability, in
+    the assortment's order.  The assortment must name distinct products.
     """
-    model._check_type(a)
+    if as_int(a, 0, "customer type") >= model.n_types:
+        raise DomainError("unknown customer type %r" % (a,))
     ws, w0 = model.weights[a], model.w0[a]
+    n = model.n_products
     weights = {}
     total = w0
     for p in assortment:
+        if type(p) is not int or not 0 <= p < n:
+            p = as_int(p, 0, "product")
+            if p >= n:
+                raise DomainError("unknown product %r" % (p,))
         weights[p] = w = ws[p]
         total += w
+    if len(weights) != len(assortment):
+        raise DomainError("assortment %r offers a product twice" % (assortment,))
     probs = {p: w / total for p, w in weights.items()}
     return probs, w0 / total
 
 
+def expected_value(probs, pi):
+    """sum_p probs[p] * pi[p], over choice probabilities as choice_probs
+    gives them."""
+    return sum(prob * pi[p] for p, prob in probs.items())
+
+
 def assortment_value(model, a, assortment, pi):
     """Expected adjusted value sum_{p in S} P(p | S) * pi[p]."""
-    probs, _ = choice_probs(model, a, assortment)
-    return sum(prob * pi[p] for p, prob in probs.items())
+    if len(pi) != model.n_products:
+        raise DomainError("pi length mismatch")
+    return expected_value(choice_probs(model, a, assortment)[0], pi)
 
 
 def optimize_assortment(model, a, pi):
@@ -101,7 +110,8 @@ def optimize_assortment(model, a, pi):
     positive-value, choosable products can help).
     Returns (assortment tuple, objective); the empty assortment scores 0.
     """
-    model._check_type(a)
+    if as_int(a, 0, "customer type") >= model.n_types:
+        raise DomainError("unknown customer type %r" % (a,))
     if len(pi) != model.n_products:
         raise DomainError("pi length mismatch")
     cands = [p for p in model.choosable[a] if pi[p] > 0.0]
@@ -119,9 +129,9 @@ def optimize_assortment(model, a, pi):
     return tuple(sorted(cands[:best_end])), best_v
 
 
-def sample_choice(model, a, assortment, rng):
-    """Sample one choice; returns a product index or None for no-purchase."""
-    probs, _ = choice_probs(model, a, assortment)
+def sample_choice(probs, rng):
+    """Sample one choice from choice probabilities as choice_probs gives
+    them; returns a product index or None for no-purchase."""
     u = rng.random()
     acc = 0.0
     for p, prob in probs.items():

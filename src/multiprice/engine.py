@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choice import assortment_value, optimize_assortment, sample_choice
+from .choice import choice_probs, expected_value, optimize_assortment, sample_choice
 from .errors import DomainError, MultipriceError, ValidationError, as_int
 from .perturb import build_perturbed, round_borders
 from .streams import item_uniforms
@@ -295,13 +295,15 @@ class _Offer:
     levels[c][s]; its last level, sold out, makes no offer on it worth it.
 
     An offer serves one run, with one ledger, product list and choice
-    model, and two memos spare its assortment loop work done before.
+    model, and three memos spare its assortment loop work done before.
     values() keeps the list it built until it goes stale: at a write to the
     state, which goes through advance, put or a refresh that solved, or
     when the ledger sells another item out.  best() keeps, per customer
     type, the last pi and the oracle's answer for it, and asks the oracle
-    again only for a pi that differs; the oracle is a pure function, so the
-    answers are those it would give."""
+    again only for a pi that differs; probs() keeps, per customer type, the
+    last assortment and its choice probabilities, and computes them again
+    only for an assortment that differs.  The oracle and choice_probs are
+    pure functions, so the answers are those they would give."""
 
     def __init__(self, bid, combine, levels=None, col_item=None, state=None):
         self.bid = bid
@@ -312,6 +314,7 @@ class _Offer:
         self.count = [0] * len(self.state)
         self._values = None  # (the ledger's sold-out count, values)
         self._best = {}  # type -> (pi, optimize_assortment(model, type, pi))
+        self._probs = {}  # type -> (assortment, choice_probs(model, type, assortment)[0])
 
     @functools.cached_property
     def rows(self):
@@ -340,6 +343,15 @@ class _Offer:
         memo = self._best.get(a)
         if memo is None or memo[0] != pi:
             memo = self._best[a] = (pi, optimize_assortment(model, a, pi))
+        return memo[1]
+
+    def probs(self, model, a, s):
+        """choice_probs(model, a, s)[0], computed again only when s differs
+        from the last assortment this offer saw for type a; the dict is
+        shared with later calls, so it must not be changed."""
+        memo = self._probs.get(a)
+        if memo is None or memo[0] != s:
+            memo = self._probs[a] = (s, choice_probs(model, a, s)[0])
         return memo[1]
 
     def put(self, c, state):
@@ -469,20 +481,21 @@ def _fractional_loop(setup, arrivals, offer, ledger, vfs):
 
 def _assortment_loop(setup, arrivals, rng_seed, offer, ledger, choose=None):
     """Offer each customer the assortment of largest expected offer value,
-    or what choose(t, a) returns as (assortment, offer value per product);
-    the customer picks by the MNL model from the choice stream."""
+    or what choose(t, a) returns as (the assortment's choice probabilities,
+    offer value per product); the customer picks by the MNL model from the
+    choice stream."""
     rng = _stream(rng_seed, setup.n)
     model, products = arrivals.model, arrivals.products
     for t, a in enumerate(arrivals.types):
         offer.refresh(t)
         if choose is None:
             pi = offer.values(products, ledger)
-            s = offer.best(model, a, pi)[0]
+            probs = offer.probs(model, a, offer.best(model, a, pi)[0])
         else:
-            s, pi = choose(t, a)
-        if not s:
+            probs, pi = choose(t, a)
+        if not probs:  # the empty assortment
             continue
-        chosen = sample_choice(model, a, s, rng)
+        chosen = sample_choice(probs, rng)
         if chosen is None:
             continue
         i, j = products[chosen]
@@ -699,11 +712,11 @@ def run_hybrid(setup, arrivals, rng_seed, gamma=1.5, resolve_every=100, expected
         pi_bal = balance_offer.values(products, ledger)
         s_fcst, _ = forecast_offer.best(model, a, forecast_offer.values(products, ledger))
         s_bal, v_max = balance_offer.best(model, a, pi_bal)
-        v_fcst = assortment_value(model, a, s_fcst, pi_bal)
-        if v_fcst + POSITIVITY_EPS >= v_max / gamma:
-            return s_fcst, pi_bal
+        p_fcst = forecast_offer.probs(model, a, s_fcst)
+        if expected_value(p_fcst, pi_bal) + POSITIVITY_EPS >= v_max / gamma:
+            return p_fcst, pi_bal
         overrides += 1
-        return s_bal, pi_bal
+        return balance_offer.probs(model, a, s_bal), pi_bal
 
     _assortment_loop(setup, arrivals, rng_seed, balance_offer, ledger, choose)
     T = arrivals.T

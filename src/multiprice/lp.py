@@ -44,9 +44,13 @@ def simplex_max(c, A, b, max_iter=None):
     a switch to Bland's rule to break potential cycling.  Returns
     (objective, x, duals).  Degenerate ties go to the lowest row index.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
+    try:
+        A, b, c = (np.asarray(x, dtype=float) for x in (A, b, c))
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise DomainError("simplex_max needs arrays of numbers: %s" % exc) from None
+    if A.ndim != 2 or b.shape != A.shape[:1] or c.shape != A.shape[1:]:
+        raise DomainError("simplex_max needs A of shape (m, n), b of m and c of n entries, "
+                          "got shapes %s, %s and %s" % (A.shape, b.shape, c.shape))
     m, nv = A.shape
     if np.any(b < -PIVOT_TOL):
         raise DomainError("simplex_max requires b >= 0")
@@ -61,6 +65,8 @@ def simplex_max(c, A, b, max_iter=None):
     T[:m, nv : nv + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :nv] = -c
+    if not np.isfinite(T).all():  # one pass over A, b and c together
+        raise DomainError("simplex_max needs finite A, b and c")
     basis = list(range(nv, nv + m))
     # views into T, kept across pivots; one ratio buffer
     costs, rhs, ratios = T[m, :-1], T[:m, -1], np.empty(m)
@@ -222,15 +228,48 @@ def _check_amounts(amounts, n, name):
         raise DomainError("%s must be finite numbers >= 0, got %r" % (name, amounts))
 
 
+class _Master:
+    """The restricted master's matrix and revenue vector, one column per
+    pooled column in pool order.  The pool is copied in once; after that
+    each new column is appended in place, and the buffer doubles when full,
+    so a round costs no re-stacking of the whole pool."""
+
+    MIN_WIDTH = 64  # columns the buffer holds at least at first
+
+    def __init__(self, rows, pool):
+        self.size = len(pool)
+        width = max(self.MIN_WIDTH, 2 * self.size)
+        self.A = np.empty((rows, width), order="F")  # column-major: appends are contiguous
+        self.c = np.empty(width)
+        if pool:
+            self.A[:, : self.size] = np.array([col for col, _ in pool.values()]).T
+            self.c[: self.size] = [rev for _, rev in pool.values()]
+
+    def append(self, col, rev):
+        if self.size == len(self.c):
+            A, c = self.A, self.c
+            self.A = np.empty((len(A), 2 * self.size), order="F")
+            self.c = np.empty(2 * self.size)
+            self.A[:, : self.size], self.c[: self.size] = A, c
+        self.A[:, self.size] = col
+        self.c[self.size] = rev
+        self.size += 1
+
+    def solve(self, b):
+        return simplex_max(self.c[: self.size], self.A[:, : self.size], b)
+
+
 def _column_generation(setup, type_counts, model, products, capacities, pool):
     n = setup.n
     A_types = model.n_types
     fares = [setup.items[i].priceset.price(j) for i, j in products]
+    master = _Master(n + A_types, pool)
 
     def add_col(a, s):
         if (a, s) in pool:
             return False
-        pool[a, s] = _column_for(model, a, s, products, fares, n, A_types)
+        pool[a, s] = col_rev = _column_for(model, a, s, products, fares, n, A_types)
+        master.append(*col_rev)
         return True
 
     # start from each type's myopic-best assortment
@@ -244,9 +283,7 @@ def _column_generation(setup, type_counts, model, products, capacities, pool):
     y, z = np.zeros(n), np.zeros(A_types)
     for _ in range(MAX_COLGEN_ROUNDS):
         if pool:
-            A_mat = np.column_stack([col for col, _ in pool.values()])
-            c_vec = np.array([rev for _, rev in pool.values()])
-            obj, x, duals = simplex_max(c_vec, A_mat, b)
+            obj, x, duals = master.solve(b)
             y = duals[:n]
             z = duals[n:]
         # pricing: each type's best assortment under fare - y; a type with

@@ -2,6 +2,7 @@
 and the closed-form online upper bound cross-checked by a nonlinear solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from multiprice import (
     ArrivalSequence,
     DomainError,
     PriceSet,
+    SolverLimitError,
     analytic_bounds,
     build_instance,
     build_value_function,
@@ -18,6 +20,7 @@ from multiprice import (
     solve_primal,
 )
 
+from multiprice.adversary import MAX_INSTANCE_SIZE
 from test_valuefn import random_priceset
 
 VF13 = build_value_function([1.0, 3.0])
@@ -160,6 +163,25 @@ class TestBuildInstance:
     def test_refuses_a_negative_seed(self):
         with pytest.raises(DomainError, match="^rng_seed must be an integer"):
             build_instance(VF13, 10, 1, -1)
+
+    @pytest.mark.parametrize("n, k", [
+        (math.isqrt(MAX_INSTANCE_SIZE) + 1, 1),  # n * n cells of bid rows
+        (2, MAX_INSTANCE_SIZE // 2 + 1),  # n * k units
+        (10**8, 1),
+    ])
+    def test_refuses_a_size_past_the_bound_before_allocating(self, n, k):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SolverLimitError, match="exceeds"):
+                build_instance(VF13, n, k, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_takes_units_up_to_the_bound(self):
+        inst = build_instance(VF13, 2, MAX_INSTANCE_SIZE // 2, 0)
+        assert inst.arrivals.T == MAX_INSTANCE_SIZE
 
     def test_realized_opt_near_analytic(self):
         n = 200

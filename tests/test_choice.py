@@ -107,6 +107,41 @@ class TestChoiceProbs:
             choice_probs(simple_model(), 5, (0,))
 
 
+class TestRefusals:
+    # the hotel model: 8 types over 8 products
+    MODEL = default_hotel_model().model
+    PI = (1.0,) * 8
+
+    @pytest.mark.parametrize("assortment", [(0, 0), (2, 1, 2), (-1,), (8,), (9,), (1.5,),
+                                            (True,), (np.int64(-1),), ("0",), (None,)])
+    def test_bad_assortment(self, assortment):
+        with pytest.raises(DomainError):
+            choice_probs(self.MODEL, 0, assortment)
+        with pytest.raises(DomainError):
+            assortment_value(self.MODEL, 0, assortment, self.PI)
+
+    @pytest.mark.parametrize("a", [1.5, True, False, -1, 8, np.int64(8), np.float64(0.0),
+                                   "0", None])
+    def test_bad_type(self, a):
+        with pytest.raises(DomainError, match="customer type"):
+            choice_probs(self.MODEL, a, (0,))
+        with pytest.raises(DomainError, match="customer type"):
+            assortment_value(self.MODEL, a, (0,), self.PI)
+        with pytest.raises(DomainError, match="customer type"):
+            optimize_assortment(self.MODEL, a, self.PI)
+
+    def test_numpy_integers_pass(self):
+        probs = choice_probs(self.MODEL, np.int64(3), (np.int32(1), np.int64(0)))
+        assert probs == choice_probs(self.MODEL, 3, (1, 0))
+        assert list(probs[0]) == [1, 0]
+        assert optimize_assortment(self.MODEL, np.int64(3), self.PI) == \
+            optimize_assortment(self.MODEL, 3, self.PI)
+
+    def test_pi_length(self):
+        with pytest.raises(DomainError, match="pi length"):
+            assortment_value(self.MODEL, 0, (0,), self.PI[:3])
+
+
 class TestModelValidation:
     def test_share_sum(self):
         with pytest.raises(ValidationError):
@@ -144,8 +179,10 @@ def prefix_reference(model, a, pi):
     """optimize_assortment as it was before each type's choosable products
     were kept on the model: the candidates filtered from every product and
     sorted on -pi, the prefix sorted on each improvement.  Kept verbatim as
-    the reference for the oracle and for the offers' memo of it."""
-    model._check_type(a)
+    the reference for the oracle and for the offers' memo of it, but for its
+    type check, which called the since-removed MnlModel._check_type."""
+    if not 0 <= a < model.n_types:
+        raise DomainError("unknown customer type %r" % (a,))
     if len(pi) != model.n_products:
         raise DomainError("pi length mismatch")
     cands = [
@@ -245,7 +282,7 @@ class TestSampling:
         n = 20000
         counts = {0: 0, 1: 0, None: 0}
         for _ in range(n):
-            counts[sample_choice(m, 0, (0, 1), rng)] += 1
+            counts[sample_choice(exact, rng)] += 1
         for p, target in list(exact.items()) + [(None, p0)]:
             emp = counts[p] / n
             assert abs(emp - target) < 3 * math.sqrt(target * (1 - target) / n) + 1e-9

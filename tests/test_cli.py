@@ -315,6 +315,11 @@ class TestAdversary:
         assert code == EXIT_OK
         assert "ranking" not in [r["policy"] for r in read_csv_text(out)]
 
+    def test_too_large_an_instance_is_a_solver_limit(self, capsys):
+        code, out, err = run_cli(capsys, "adversary", "--prices", "1,3", "--n", "100000000")
+        assert code == EXIT_SOLVER
+        assert out == "" and err.startswith("solver limit:") and "exceeds" in err
+
     def test_one_value_function_build_per_command(self, capsys):
         _value_function.cache_clear()
         code, _, _ = run_cli(capsys, "--trials", "3", "adversary", "--prices", "1,3",

@@ -773,3 +773,41 @@ class TestOfferMemo:
         for a, query in ((0, pi), (0, list(pi)), (1, pi), (0, pi), (0, pi[::-1]), (1, pi)):
             assert offer.best(model, a, query) == choice.optimize_assortment(model, a, query)
         assert calls == [0, 1, 0]
+
+    def test_probs_computed_once_per_assortment(self, monkeypatch):
+        setup, products, model = small_choice_setting()
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return choice.choice_probs(*args)
+
+        monkeypatch.setattr(engine, "choice_probs", counted)
+        offer = engine._Offer(setup.price_table, operator.sub, state=np.zeros(setup.n))
+        for a, s in ((0, (0, 1)), (0, (0, 1)), (1, (0, 1)), (0, (0, 1)), (0, (2,)), (1, (0, 1))):
+            assert offer.probs(model, a, s) == choice.choice_probs(model, a, s)[0]
+        assert calls == [(0, (0, 1)), (1, (0, 1)), (0, (2,))]
+
+    @pytest.mark.parametrize("policy", ["bidprice", "hybrid"])
+    def test_runs_compute_probs_fewer_times_than_they_sample(self, monkeypatch, policy):
+        # a type is offered one assortment until a sale or a re-solve
+        # changes it, and each draw reads the probabilities kept for it
+        setup, products, model = small_choice_setting()
+        setup = Setup(items=tuple(Item(k=40, priceset=it.priceset) for it in setup.items))
+        rng = np.random.default_rng(5)
+        arrivals = assortment_arrivals(model, products, rng.integers(0, 2, size=200).tolist())
+        calls = {"choice_probs": 0, "sample_choice": 0}
+
+        def count(name):
+            real = getattr(engine, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(engine, name, counted)
+
+        for name in calls:
+            count(name)
+        run = run_hybrid if policy == "hybrid" else run_bidprice
+        run(setup, arrivals, 0, expected_total=200.0)
+        assert 0 < calls["choice_probs"] < calls["sample_choice"] / 4

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from functools import lru_cache
 from unittest import mock
 
@@ -108,6 +109,24 @@ class TestSimplex:
     def test_zero_rhs(self):
         obj, x, _ = simplex_max([1.0], [[1.0]], [0.0])
         assert obj == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c, A, b", [
+        ([1.0], [[1.0]], [math.nan]),
+        ([math.nan], [[1.0]], [1.0]),
+        ([1.0], [[math.inf]], [1.0]),
+        ([-math.inf], [[1.0]], [1.0]),
+        ([1.0], [[1.0, 1.0]], [1.0]),  # c shorter than a row of A
+        ([1.0, 1.0], [[1.0]], [1.0]),  # c longer
+        ([1.0], [[1.0]], [1.0, 1.0]),  # b longer than A's column
+        ([1.0], [1.0], [1.0]),  # A not a matrix
+        ([1.0], [[1.0], [1.0, 2.0]], [1.0, 1.0]),  # ragged
+        (["x"], [[1.0]], [1.0]),
+    ])
+    def test_refuses_input_it_cannot_solve(self, c, A, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^simplex_max needs"):
+                simplex_max(c, A, b)
 
     def test_random_against_scipy(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -818,11 +837,11 @@ def ref_column_generation(setup, type_counts, model, products, capacities, famil
 
 
 @st.composite
-def choice_lp_cases(draw):
+def choice_lp_cases(draw, min_solves=1, max_solves=4):
     """A small choice LP: 1-3 items of 1-3 prices, an MNL model over some
-    of their (item, price) products with NEVER utilities, and 1-4 solves of
-    type counts (zeros among them) and capacities (zeros among them, or
-    None for the full inventory)."""
+    of their (item, price) products with NEVER utilities, and 1-4 (or
+    min_solves to max_solves) solves of type counts (zeros among them) and
+    capacities (zeros among them, or None for the full inventory)."""
     n = draw(st.integers(1, 3))
     items = tuple(
         Item(k=draw(st.integers(1, 4)), priceset=PriceSet(sorted(draw(
@@ -843,7 +862,8 @@ def choice_lp_cases(draw):
     count = st.sampled_from([0.0, 0.0, 1.0, 2.5]) | st.floats(0.0, 20.0)
     solves = draw(st.lists(st.tuples(
         st.lists(count, min_size=n_types, max_size=n_types),
-        st.none() | st.lists(st.integers(0, 4), min_size=n, max_size=n)), min_size=1, max_size=4))
+        st.none() | st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+        min_size=min_solves, max_size=max_solves))
     return Setup(items=items), model, products, solves, draw(st.booleans())
 
 
@@ -886,4 +906,98 @@ def test_solve_choice_lp_bit_identical_to_reference(case):
                 assert outcomes[0] == outcomes[1]
             if pooled:
                 assert list(pool) == [(a, s) for a, s, _, _ in ref_pool.cols]
+    lp._fresh_solve.cache_clear()
+
+
+def restacked_column_generation(setup, type_counts, model, products, capacities, pool):
+    """_column_generation as it was before its master was grown in place,
+    stacking the whole pool afresh every round, kept verbatim as the
+    reference for the grown master.  It calls the oracle, simplex_max,
+    _column_for and the column-generation limits through `lp`."""
+    n = setup.n
+    A_types = model.n_types
+    fares = [setup.items[i].priceset.price(j) for i, j in products]
+
+    def add_col(a, s):
+        if (a, s) in pool:
+            return False
+        pool[a, s] = lp._column_for(model, a, s, products, fares, n, A_types)
+        return True
+
+    # start from each type's myopic-best assortment
+    for a in range(A_types):
+        s, _ = lp.optimize_assortment(model, a, fares)
+        if s:
+            add_col(a, s)
+
+    b = np.array([float(c) for c in capacities] + [float(cnt) for cnt in type_counts])
+    obj, x = 0.0, ()
+    y, z = np.zeros(n), np.zeros(A_types)
+    for _ in range(lp.MAX_COLGEN_ROUNDS):
+        if pool:
+            A_mat = np.column_stack([col for col, _ in pool.values()])
+            c_vec = np.array([rev for _, rev in pool.values()])
+            obj, x, duals = lp.simplex_max(c_vec, A_mat, b)
+            y = duals[:n]
+            z = duals[n:]
+        # pricing: each type's best assortment under fare - y; a type with
+        # no customers prices at 0 and adds nothing
+        pi = [fares[p] - y[products[p][0]] for p in range(len(products))]
+        priced = [lp.optimize_assortment(model, a, pi) if type_counts[a] > 0
+                  else ((), 0.0) for a in range(A_types)]
+        added = False
+        for a, (s, v) in enumerate(priced):
+            if v > z[a] + lp.COLGEN_TOL and s:
+                added = add_col(a, s) or added
+        if not added:
+            break
+    # stalled on pooled columns or at the iteration guard: the objective is
+    # within sum_a max(v_a - z_a, 0) * count_a of the LP optimum
+    gap = 0.0
+    if any(v > z[a] + lp.COLGEN_TOL for a, (_, v) in enumerate(priced)):
+        gap = sum(max(v - z[a], 0.0) * type_counts[a] for a, (_, v) in enumerate(priced))
+
+    # at the iteration guard the columns of the last round are unsolved
+    primal = {key: xv for key, xv in zip(pool, x) if xv > 1e-12}
+    return lp.LpSolution(
+        objective=obj,
+        primal=primal,
+        duals_items=[max(v, 0.0) for v in y],
+        duals_arrivals=list(z),
+        meta={"columns": len(pool), "gap": gap},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=choice_lp_cases(min_solves=3, max_solves=3), min_width=st.sampled_from([1, 2, 64]))
+def test_grown_master_equals_a_restacked_one(case, min_width):
+    """Three re-solves over one pool, each master grown in place from a
+    buffer of min_width columns (so that it doubles, or does not), give the
+    float.hex objective, primal and duals, the same number of master solves
+    and the same pool as the reference stacking that pool afresh; with
+    stalled pricing too, which grows the pool until its duplicate check
+    ends a solve."""
+    setup, model, products, solves_, stall = case
+    real = lp.optimize_assortment
+
+    def oracle(model, a, pi):
+        s, v = real(model, a, pi)
+        return s, v + 100.0 if stall else v
+
+    counter = mock.Mock(wraps=lp.simplex_max)
+    pool = {}
+    lp._fresh_solve.cache_clear()
+    with mock.patch.object(lp, "optimize_assortment", oracle), \
+            mock.patch.object(lp, "simplex_max", counter), \
+            mock.patch.object(lp._Master, "MIN_WIDTH", min_width):
+        for counts, caps in solves_:
+            ref_pool = dict(pool)
+            counter.reset_mock()
+            sol = solve_choice_lp(setup, counts, model, products, capacities=caps, pool=pool)
+            grown = choice_outcome(sol, counter)
+            counter.reset_mock()
+            full = tuple(it.k for it in setup.items) if caps is None else tuple(caps)
+            ref = restacked_column_generation(setup, counts, model, products, full, ref_pool)
+            assert grown == choice_outcome(ref, counter)
+            assert list(pool) == list(ref_pool)
     lp._fresh_solve.cache_clear()
