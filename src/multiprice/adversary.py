@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ArrivalSequence, Item, Setup
+from .engine import ArrivalSequence, Item, Setup, _read_only
 from .errors import DomainError, SolverLimitError, as_int
 from .valuefn import PriceSet
 
@@ -62,14 +62,37 @@ class AdversarialInstance:
 def build_instance(vf, n, k, rng_seed):
     """One permuted instance of the price set of vf: customer group g (of k
     identical customers) is interested in items pi[g-1..n-1] and pays the
-    price of its phase."""
+    price of its phase.  Instances of one (vf, n, k) share the Setup."""
     priceset = vf.priceset
     n, k = as_int(n, priceset.m, "n"), as_int(k, 1, "k")
     if max(n, k) * n > MAX_INSTANCE_SIZE:
         raise SolverLimitError("an instance of n = %d items of k = %d units exceeds %d "
                                "cells (n * n) or units (n * k)" % (n, k, MAX_INSTANCE_SIZE))
+    setup, phases, counts = _instance_shape(vf, n, k)
+
+    rng = np.random.default_rng(as_int(rng_seed, 0, "rng_seed"))
+    perm = rng.permutation(n)
+
+    # group g's row: item perm[h] at the group's phase for h >= g
+    rows = np.where(np.arange(n)[:, None] <= np.argsort(perm), phases[:, None], 0).astype(int)
+    return AdversarialInstance(
+        priceset=priceset,
+        n=n,
+        k=k,
+        setup=setup,
+        arrivals=ArrivalSequence(kind="deterministic", runs=(rows, counts)),
+        permutation=tuple(perm.tolist()),
+        group_phases=tuple(phases.tolist()),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _instance_shape(vf, n, k):
+    """What every permutation of an instance shares, built once for the
+    trials of one command: the Setup of n items of k units, each group's
+    phase and each group's k customers, the arrays read-only."""
     _, betas = solve_betas(vf)
-    m = priceset.m
+    m = vf.m
 
     # phase boundaries in whole groups, round-half-even on the tail sums
     bounds = [0]
@@ -81,25 +104,9 @@ def build_instance(vf, n, k, rng_seed):
         if bounds[j + 1] <= bounds[j]:
             raise DomainError("n too small for the phase partition")
 
-    rng = np.random.default_rng(as_int(rng_seed, 0, "rng_seed"))
-    perm = rng.permutation(n)
-
-    # group g's phase, and its row: item perm[h] at that phase for h >= g
-    groups = np.arange(n)
-    phases = np.searchsorted(bounds[1:], groups, side="right") + 1
-    rows = np.where(groups[:, None] <= np.argsort(perm), phases[:, None], 0).astype(int)
-
-    setup = Setup(items=tuple(Item(k=k, priceset=priceset) for _ in range(n)))
-    arrivals = ArrivalSequence(kind="deterministic", runs=(rows, np.full(n, k)))
-    return AdversarialInstance(
-        priceset=priceset,
-        n=n,
-        k=k,
-        setup=setup,
-        arrivals=arrivals,
-        permutation=tuple(perm.tolist()),
-        group_phases=tuple(phases.tolist()),
-    )
+    phases = np.searchsorted(bounds[1:], np.arange(n), side="right") + 1
+    setup = Setup(items=tuple(Item(k=k, priceset=vf.priceset) for _ in range(n)))
+    return setup, _read_only(phases), _read_only(np.full(n, k))
 
 
 def analytic_bounds(vf, n, k):

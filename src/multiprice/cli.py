@@ -7,6 +7,7 @@ hotel-sim.  Exit codes: 0 success, 2 validation error, 3 solver limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -19,7 +20,7 @@ from .engine import POLICIES as _POLICIES
 from .engine import ArrivalSequence, Item, Setup, hotel_policies
 from .errors import MultipriceError, SolverLimitError, ValidationError
 from .lp import solve_primal
-from .perturb import (certified_lower_bounds, enumerate_seed_support,
+from .perturb import (MAX_GRID_POINTS, certified_lower_bounds, enumerate_seed_support,
                       single_unit_procedure, verify_conditions)
 from .valuefn import PriceSet, build_value_function
 
@@ -59,6 +60,9 @@ def _emit(data, out):
 
 
 def cmd_valuefn(args):
+    if args.grid >= MAX_GRID_POINTS:  # grid + 1 points
+        raise SolverLimitError("a grid of %d points exceeds %d"
+                               % (args.grid + 1, MAX_GRID_POINTS))
     vf = build_value_function(args.prices)
     if args.grid:
         rows = []
@@ -201,7 +205,10 @@ def cmd_hotel_sim(args):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The CLI's parser, built once per process: parse_args reads it and
+    writes only the Namespace it returns, so calls share nothing else."""
     p = argparse.ArgumentParser(prog="multiprice")
     p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--trials", type=_count(1), default=None)

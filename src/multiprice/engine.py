@@ -30,7 +30,7 @@ import numpy as np
 
 from .choice import choice_probs, expected_value, optimize_assortment, sample_choice
 from .errors import DomainError, MultipriceError, ValidationError, as_int
-from .perturb import build_perturbed, round_borders
+from .perturb import build_perturbed, rounding_classes
 from .streams import item_uniforms
 from .valuefn import PriceSet, build_value_function
 
@@ -96,6 +96,15 @@ class Setup:
         for i, item in enumerate(self.items):
             table[i, 1 : item.priceset.m + 1] = item.priceset.prices
         return _read_only(table)
+
+    @functools.cached_property
+    def item_groups(self):
+        """{(price tuple, k): read-only array of the indices of the items
+        with those prices and inventory}, in order of first appearance."""
+        groups = {}
+        for i, item in enumerate(self.items):
+            groups.setdefault((item.priceset.prices, item.k), []).append(i)
+        return {key: _read_only(np.array(items)) for key, items in groups.items()}
 
 
 def _read_only(a):
@@ -373,30 +382,26 @@ def _balance_offer(setup, rng_seed, perturbed):
     """Balance values: the (perturbed) value function at the (rounded) price
     border minus at the sold level.  Also returns each item's value grid
     over sold counts 0..k.  Items that round alike share one grid and one
-    level table."""
+    level table, built once per distinct rounding of their (prices, k)."""
     bid = setup.price_table.copy() if perturbed else setup.price_table
-    seeds = item_uniforms(rng_seed, [1] * setup.n) if perturbed else None
-    memo = {}  # (borders, grid, levels) per distinct rounding; the prices name the value function
-    grids, levels = [], []
-    for i, item in enumerate(setup.items):
-        vf = build_value_function(item.priceset)
-        key = (item.priceset.prices, item.k)
+    if perturbed:
+        seeds = item_uniforms(rng_seed, [1] * setup.n)
+        seed_array = np.array(seeds)
+    grids, levels = [None] * setup.n, [None] * setup.n
+    for (prices, k), items in setup.item_groups.items():
+        vf = build_value_function(prices)
         if perturbed:
-            key += tuple(round_borders(vf, item.k, seeds[i]))
-        hit = memo.get(key)
-        if hit is None:
-            if perturbed:
-                pvf = build_perturbed(vf, item.k, seeds[i])
-                borders = [pvf.border_value(j) for j in range(1, vf.m + 1)]
-                grid = pvf.grid_values
-            else:
-                borders, grid = None, [vf.phi(s / item.k) for s in range(item.k + 1)]
-            hit = memo[key] = (borders, grid, list(grid[:-1]) + [np.inf])
-        borders, grid, level = hit
-        if perturbed:
-            bid[i, 1 : vf.m + 1] = borders
-        grids.append(grid)
-        levels.append(level)
+            first, inverse = rounding_classes(vf, k, seed_array[items])
+            pvfs = [build_perturbed(vf, k, seeds[i]) for i in items[first].tolist()]
+            borders = [[pvf.border_value(j) for j in range(1, vf.m + 1)] for pvf in pvfs]
+            bid[items, 1 : vf.m + 1] = np.array(borders)[inverse]
+            grid_per_rounding = [pvf.grid_values for pvf in pvfs]
+        else:
+            inverse = np.zeros(len(items), dtype=int)
+            grid_per_rounding = [[vf.phi(s / k) for s in range(k + 1)]]
+        shared = [(grid, list(grid[:-1]) + [np.inf]) for grid in grid_per_rounding]
+        for i, r in zip(items.tolist(), inverse.tolist()):
+            grids[i], levels[i] = shared[r]
     return _Offer(bid, operator.sub, levels), grids
 
 
@@ -408,7 +413,7 @@ def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
     no offer worth making the state stands still, so the rest find none."""
     rows, counts = arrivals.runs
     cols = offer.col_item
-    bids = offer.bid[cols[None, :], rows[:, cols]]
+    bids = offer.bid.ravel().take(rows[:, cols] + cols * offer.bid.shape[1])
     combine, state, col_item = offer.combine, offer.state, cols.tolist()
     start = 0
     for r, count in enumerate(counts.tolist()):

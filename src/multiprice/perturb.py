@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ValidationError, as_int
+import numpy as np
+
+from .errors import DomainError, SolverLimitError, ValidationError, as_int
 from .valuefn import PriceSet
 
 # fractional parts this close to an integer are treated as exact multiples
@@ -23,6 +25,10 @@ _FRAC_SNAP = 1e-12
 
 # slack a certification condition may fall short by, relative to the top price
 REL_TOL = 1e-9
+
+# a procedure's grids hold at most this many points, (m + 1)(k + 1) over its
+# at most m + 1 configurations
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,19 @@ def round_borders(vf, k, w_seed):
     out[0] = 0.0
     out[-1] = 1.0
     return out
+
+
+def rounding_classes(vf, k, seeds):
+    """The distinct roundings round_borders makes of many seeds, from one
+    comparison of every seed with every interior border's fractional part
+    (borders 0 and m are pinned to 0 and 1): (first, inverse), seeds[first[r]]
+    giving rounding r and seeds[i] rounding inverse[i].  The borders a seed
+    rounds up are those whose fractional part passes it, so how many there
+    are tells the roundings apart."""
+    fracs = np.array([frac for _, frac in _floor_frac(vf.borders, k)[1:-1]])
+    ups = (np.asarray(seeds, dtype=float)[:, None] < fracs).sum(axis=1)
+    _, first, inverse = np.unique(ups, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _grid_from_borders(vf, k, tilde_borders):
@@ -129,7 +148,13 @@ def enumerate_seed_support(vf, k):
     """Exact support of the comonotone rounding: the outcome is a step
     function of the seed with breakpoints at the distinct fractional parts
     of L(j) k, so at most m + 1 seed intervals.  Interval lengths are the
-    exact probabilities; no sampling involved."""
+    exact probabilities; no sampling involved.  Raises SolverLimitError,
+    before any grid is built, when the grids would pass MAX_GRID_POINTS."""
+    k = as_int(k, 1, "k")
+    points = (vf.m + 1) * (k + 1)
+    if points > MAX_GRID_POINTS:
+        raise SolverLimitError("k = %d on %d prices needs %d grid points, which exceeds %d"
+                               % (k, vf.m, points, MAX_GRID_POINTS))
     fracs = {frac for _, frac in _floor_frac(vf.borders, k) if frac}
     cuts = [0.0] + sorted(fracs) + [1.0]
     configs = []

@@ -14,6 +14,8 @@ for random number generation, 2014).  The doubles equal numpy's bit for bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # numpy's SeedSequence hash constants (pool of 4 words) and PCG64 multiplier
@@ -40,8 +42,13 @@ _STATE_POOL = [0, 1, 2, 3, 0, 1, 2, 3]
 def item_uniforms(rng_seed, counts):
     """The first counts[i] doubles of item i's stream,
     default_rng(SeedSequence(rng_seed, spawn_key=(i,))), for every item i in
-    order, as one flat list.  Items number below 2**32, one spawn word."""
-    seed = int(rng_seed)
+    order, as one flat tuple.  Items number below 2**32, one spawn word.
+    The last answer is kept: at k = 1 balance and ranking ask for the same."""
+    return _item_uniforms(int(rng_seed), tuple(counts))
+
+
+@lru_cache(maxsize=1)
+def _item_uniforms(seed, counts):
     pool = np.random.SeedSequence(seed).pool.tolist()
     # the hash constant steps once per word hashed: 16 times to mix the pool's
     # 4 words together, then 4 times per seed word past the fourth
@@ -67,4 +74,4 @@ def item_uniforms(rng_seed, counts):
             x = (state >> 64 ^ state) & _M64
             rot = state >> 122  # XSL-RR output, then the top 53 bits as a double
             uniforms.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0 ** -53)
-    return uniforms
+    return tuple(uniforms)

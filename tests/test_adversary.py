@@ -116,6 +116,19 @@ class TestBuildInstance:
                 assert got.duals_items == want.duals_items
                 assert got.duals_arrivals == want.duals_arrivals
 
+    def test_trials_of_one_shape_share_the_setup(self):
+        a, b = build_instance(VF13, 12, 2, 0), build_instance(VF13, 12, 2, 1)
+        assert a.setup is b.setup and a.permutation != b.permutation
+        # one Item per slot, not one shared by all
+        assert len({id(item) for item in a.setup.items}) == 12
+        assert not a.arrivals.runs[1].flags.writeable
+        for other in (build_instance(VF13, 12, 3, 0), build_instance(VF13, 13, 2, 0),
+                      build_instance(build_value_function([1.0, 4.0]), 12, 2, 0)):
+            assert other.setup is not a.setup
+        again = build_instance(VF13, 12, 2, 0)
+        assert again.setup is not a.setup  # the memo holds the last shape alone
+        assert np.array_equal(again.arrivals.willing, a.arrivals.willing)
+
     def test_structure(self):
         inst = build_instance(VF13, 20, 2, 0)
         assert inst.setup.n == 20

@@ -4,13 +4,15 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from multiprice import harness
-from multiprice.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
+from multiprice.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, build_parser, main
+from multiprice.perturb import MAX_GRID_POINTS
 from multiprice.harness import CSV_SCHEMA_HEADER
 from multiprice.valuefn import _value_function
 
@@ -55,6 +57,28 @@ class TestValuefn:
                              "--prices", "10")
         assert code == EXIT_OK
         assert json.loads(path.read_text())["F"] == pytest.approx(0.632, abs=1e-3)
+
+
+class TestGridBounds:
+    # the grid checks run before any grid is built, so refusing a huge one
+    # allocates next to nothing
+    @pytest.mark.parametrize("argv", [
+        ["valuefn", "--prices", "1,3", "--grid", str(MAX_GRID_POINTS)],
+        ["valuefn", "--prices", "1,3", "--grid", "100000000"],
+        # (m + 1)(k + 1) = 3 * 3,333,334 grid points, just past the bound
+        ["perturb", "verify", "--prices", "1,3", "--k", "3333333"],
+        ["perturb", "verify", "--prices", "1,3", "--k", "100000000"],
+    ], ids=" ".join)
+    def test_past_the_bound_is_a_solver_limit(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_SOLVER
+        assert out == "" and err.startswith("solver limit:") and "exceeds" in err
+        assert peak < 1 << 20
 
 
 class TestPerturbVerify:
@@ -293,6 +317,34 @@ class TestCountFlags:
         code, out, _ = run_cli(capsys, "valuefn", "--prices", "1,3", "--grid", "0")
         assert code == EXIT_OK
         assert json.loads(out)["prices"] == [1.0, 3.0]
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_reach_the_next_call(self, tmp_path, capsys):
+        out = tmp_path / "first.csv"
+        code, _, _ = run_cli(capsys, "--seed", "5", "--trials", "2", "--out", str(out),
+                             "adversary", "--prices", "1,3", "--n", "10", "--k", "2")
+        assert code == EXIT_OK and out.exists()
+        code, printed, _ = run_cli(capsys, "perturb", "verify", "--prices", "1,3", "--k", "3",
+                                   "--c", "0.1")
+        assert code == EXIT_OK and json.loads(printed)["c"] == 0.1
+        args = build_parser().parse_args(["perturb", "verify", "--prices", "1,3"])
+        assert (args.seed, args.trials, args.out, args.k, args.c, args.single_unit) == \
+            (None, None, None, 1, None, False)
+        assert not hasattr(args, "n")
+        # a later run gets its own defaults: stdout, the command's default seed
+        code, printed, _ = run_cli(capsys, "--trials", "2", "adversary", "--prices", "1,3",
+                                   "--n", "10")
+        assert code == EXIT_OK and printed
+        first = read_csv_text(out.read_text())
+        again = read_csv_text(printed)
+        assert [r["policy"] for r in first] != [r["policy"] for r in again]  # k = 2, then 1
+        code, printed, _ = run_cli(capsys, "--seed", "0", "--trials", "2", "adversary",
+                                   "--prices", "1,3", "--n", "10")
+        assert read_csv_text(printed) == again
 
 
 class TestAdversary:

@@ -37,6 +37,7 @@ from multiprice.engine import (BOOKING_CURVE, POLICIES, Ledger, hotel_policies, 
 
 from test_golden import canon, digest_result
 from test_lp import random_instance, small_choice_setting
+from test_perturb import END_FRACS, PRICE_LISTS, nudged_ends
 
 ALL_DETERMINISTIC = (run_balance, run_ranking, run_myopic, run_gnr, run_conservative)
 
@@ -250,6 +251,57 @@ class TestRoundingMemo:
                 assert [x.hex() for x in grids[i]] == [x.hex() for x in own.grid_values]
                 assert [offer.rows[i][j].hex() for j in range(1, m + 1)] == \
                     [own.border_value(j).hex() for j in range(1, m + 1)]
+
+
+@st.composite
+def mixed_setups(draw):
+    """(Setup, {prices: value function}): 2-3 price sets, each with
+    several ks, over 1-40 items drawn interleaved; a price set's value
+    function may have its border 0 or m nudged off the grid, so that
+    roundings differ there alone (where round_borders pins them)."""
+    price_sets = draw(st.lists(PRICE_LISTS.map(lambda ps: tuple(float(r) for r in ps)),
+                               min_size=2, max_size=3, unique=True))
+    ks = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True))
+    vfs = {ps: nudged_ends(build_value_function(ps), max(ks), *draw(st.tuples(END_FRACS,
+                                                                              END_FRACS)))
+           for ps in price_sets}
+    kinds = draw(st.lists(st.tuples(st.sampled_from(price_sets), st.sampled_from(ks)),
+                          min_size=1, max_size=40))
+    items = tuple(Item(k=k, priceset=PriceSet(ps)) for ps, k in kinds)
+    return Setup(items=items), vfs
+
+
+class TestBalanceOfferProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=mixed_setups(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_item_builds(self, case, seed):
+        # every item's bid row and grid equal, by float.hex, those of its own
+        # build_perturbed on child i's uniform; one build per distinct
+        # rounding of each (prices, k), as round_borders tells them apart
+        setup, vfs = case
+        builds = []
+
+        def counted(vf, k, w):
+            builds.append((vf.priceset.prices, k, tuple(perturb.round_borders(vf, k, w))))
+            return perturb.build_perturbed(vf, k, w)
+
+        with mock.patch.object(engine, "build_value_function", vfs.__getitem__), \
+                mock.patch.object(engine, "build_perturbed", counted):
+            offer, grids = engine._balance_offer(setup, seed, perturbed=True)
+        assert len(builds) == len(set(builds))
+        expected = set()
+        for i, item in enumerate(setup.items):
+            vf, k, m = vfs[item.priceset.prices], item.k, item.priceset.m
+            w = engine._stream(seed, i).random()
+            expected.add((item.priceset.prices, k, tuple(perturb.round_borders(vf, k, w))))
+            own = perturb.build_perturbed(vf, k, w)
+            assert [x.hex() for x in grids[i]] == [x.hex() for x in own.grid_values]
+            assert [x.hex() for x in offer.rows[i][1 : m + 1]] == \
+                [own.border_value(j).hex() for j in range(1, m + 1)]
+            assert all(x == 0.0 for x in offer.rows[i][m + 1 :])
+            assert offer.levels[i] == list(own.grid_values[:-1]) + [np.inf]
+        assert set(builds) == expected
+        assert len({id(g) for g in grids}) == len(builds)
 
 
 def row_by_row_loop(setup, arrivals, offer, ledger, on_sale=None):

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multiprice import (
     DomainError,
     PriceSet,
     RandomizedProcedure,
+    SolverLimitError,
     ValidationError,
     build_perturbed,
     build_value_function,
@@ -20,7 +23,8 @@ from multiprice import (
     single_unit_procedure,
     verify_conditions,
 )
-from multiprice.perturb import PerturbedValueFunction
+from multiprice import perturb
+from multiprice.perturb import PerturbedValueFunction, rounding_classes
 
 from test_valuefn import random_priceset
 
@@ -86,6 +90,52 @@ class TestRoundBorders:
     def test_certified_bounds_refuse_k(self, k):
         with pytest.raises(DomainError):
             certified_lower_bounds(build_value_function([1.0, 3.0]), k)
+
+
+def nudged_ends(vf, k, low, high):
+    """vf with L(0) k and L(m) k given the fractional parts low and high
+    (0 keeps the border): roundings of it that differ at border 0 or m
+    alone, which round_borders pins to 0 and 1, are one rounding."""
+    borders = ((low / k if low else 0.0,) + vf.borders[1:-1]
+               + (1.0 - (1.0 - high) / k if high else 1.0,))
+    return dataclasses.replace(vf, borders=borders)
+
+
+PRICE_LISTS = st.lists(st.integers(1, 1000), min_size=1, max_size=6, unique=True).map(sorted)
+END_FRACS = st.sampled_from([0.0, 0.2, 0.5, 0.9])
+
+
+class TestRoundingClasses:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(prices=PRICE_LISTS, k=st.integers(1, 40), ends=st.tuples(END_FRACS, END_FRACS),
+           seeds=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=30),
+           at_fracs=st.booleans())
+    @example(prices=[1, 3], k=4, ends=(0.5, 0.9), seeds=[0.1, 0.6, 0.95, 0.3], at_fracs=True)
+    def test_classes_are_the_distinct_roundings(self, prices, k, ends, seeds, at_fracs):
+        vf = nudged_ends(build_value_function([float(r) for r in prices]), k, *ends)
+        if at_fracs:  # seeds on each fractional part and just below it
+            fracs = [f for _, f in perturb._floor_frac(vf.borders, k)]
+            seeds = seeds + fracs + [math.nextafter(f, 0.0) for f in fracs]
+        first, inverse = rounding_classes(vf, k, seeds)
+        roundings = [tuple(round_borders(vf, k, w)) for w in seeds]
+        assert len(inverse) == len(seeds)
+        assert len(set(roundings)) == len(first)
+        assert [roundings[first[r]] for r in inverse] == roundings
+
+
+class TestSupportBound:
+    def test_grid_points_bounded(self, monkeypatch):
+        # (m + 1)(k + 1) points: 30 at m = 2, k = 9, and 33 at k = 10
+        vf = build_value_function([1.0, 3.0])
+        monkeypatch.setattr(perturb, "MAX_GRID_POINTS", 30)
+        assert enumerate_seed_support(vf, 9).k == 9
+        with pytest.raises(SolverLimitError, match="33 grid points"):
+            enumerate_seed_support(vf, 10)
+
+    @pytest.mark.parametrize("k", [0, 2.5, True])
+    def test_refuses_k(self, k):
+        with pytest.raises(DomainError):
+            enumerate_seed_support(build_value_function([1.0, 3.0]), k)
 
 
 class TestDistributionLaws:

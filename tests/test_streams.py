@@ -40,3 +40,24 @@ class TestItemUniforms:
     def test_equals_numpy_streams(self, seed, counts):
         got = [x.hex() for x in streams.item_uniforms(seed, counts)]
         assert got == numpy_uniforms(seed, counts)
+
+
+class TestLastAnswerKept:
+    def test_an_immutable_sequence_equal_to_numpy(self):
+        got = streams.item_uniforms(7, [2, 1, 3])
+        assert isinstance(got, tuple)
+        assert [x.hex() for x in got] == numpy_uniforms(7, [2, 1, 3])
+        # numpy integers and any sequence of counts name the same answer
+        assert streams.item_uniforms(np.uint64(7), np.array([2, 1, 3])) is got
+
+    def test_balance_then_ranking_at_k1_step_pcg64_once(self):
+        from multiprice import build_instance, build_value_function, run_balance, run_ranking
+
+        inst = build_instance(build_value_function([1.0, 3.0]), 20, 1, 5)
+        streams._item_uniforms.cache_clear()
+        run_balance(inst.setup, inst.arrivals, 5)
+        run_ranking(inst.setup, inst.arrivals, 5)
+        info = streams._item_uniforms.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        run_ranking(inst.setup, inst.arrivals, 6)  # another seed steps afresh
+        assert streams._item_uniforms.cache_info().misses == 2
