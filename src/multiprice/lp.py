@@ -17,9 +17,11 @@ import numpy as np
 
 from .choice import choice_probs, optimize_assortment
 from .engine import check_products, validate
-from .errors import DomainError, SolverLimitError
+from .errors import DomainError, SolverLimitError, as_int
 
 PIVOT_TOL = 1e-9
+# a pivot updates its touched rows in blocks of at most this many cells
+PIVOT_BLOCK_CELLS = 16_384
 # the largest simplex tableau solve_primal builds, in cells of 8 bytes
 MAX_TABLEAU_CELLS = 10_000_000
 # column generation stops once no new column prices above its type's dual
@@ -43,6 +45,19 @@ def simplex_max(c, A, b, max_iter=None):
     Dense tableau, slack starting basis, largest-coefficient pivoting with
     a switch to Bland's rule to break potential cycling.  Returns
     (objective, x, duals).  Degenerate ties go to the lowest row index.
+    max_iter, an integer >= 0, bounds the iterations (default
+    50 (m + n) + 1000).
+
+    Each pivot updates only the block it can change: the rows whose
+    pivot-column entry exceeds 1e-14 in size, times the columns where the
+    scaled pivot row is nonzero and the right-hand side.  It gathers each
+    block of at most PIVOT_BLOCK_CELLS cells with one flat `take`,
+    subtracts the multipliers times the row's entries in place and
+    scatters it back.  A cell it writes gets the float a full-row update
+    gives it; a skipped cell would have had a zero subtracted, which can
+    only turn -0.0 into +0.0.  So the pivots, the right-hand side (x and
+    the objective) and the duals, whose slack columns hold no -0.0, are
+    the floats of a full-row update.
     """
     try:
         A, b, c = (np.asarray(x, dtype=float) for x in (A, b, c))
@@ -57,6 +72,9 @@ def simplex_max(c, A, b, max_iter=None):
     b = np.maximum(b, 0.0)
     if max_iter is None:
         max_iter = 50 * (m + nv) + 1000
+    max_iter = as_int(max_iter, 0, "max_iter")
+    if m + nv == 0:  # no variables and no constraints: optimal as it stands
+        return 0.0, np.zeros(0), np.zeros(0)
     bland_after = max_iter // 2
 
     # tableau: [A | I | b] with objective row [-c | 0 | 0] on top of it
@@ -70,6 +88,7 @@ def simplex_max(c, A, b, max_iter=None):
     basis = list(range(nv, nv + m))
     # views into T, kept across pivots; one ratio buffer
     costs, rhs, ratios = T[m, :-1], T[:m, -1], np.empty(m)
+    flat, width = T.reshape(-1), T.shape[1]
 
     for it in range(max_iter):
         if it < bland_after:
@@ -83,24 +102,36 @@ def simplex_max(c, A, b, max_iter=None):
             e = int(neg[0])
         col = T[:, e]
         pos = col[:m] > PIVOT_TOL
-        if not pos.any():
-            raise SolverLimitError("unbounded LP")
         ratios.fill(np.inf)
         np.divide(rhs, col[:m], out=ratios, where=pos)
-        ties = ratios <= ratios.min() + 1e-12
+        least = ratios[ratios.argmin()] if m else np.inf
+        if least == np.inf and not pos.any():
+            raise SolverLimitError("unbounded LP")
+        ties = ratios <= least + 1e-12
         if it >= bland_after:
             # Bland: leave the row whose basic variable has lowest index
             cand = np.flatnonzero(ties)
             leave = int(min(cand, key=lambda r: basis[r]))
         else:
             leave = int(ties.argmax())
-        piv = T[leave, e]
-        T[leave] /= piv
-        # eliminate the pivot column only from the rows where it is nonzero
         row = T[leave]
-        for r in (np.abs(col) > 1e-14).nonzero()[0].tolist():
-            if r != leave:
-                T[r] -= col[r] * row
+        row /= T[leave, e]
+        # eliminate the pivot column from the rows where it is nonzero, in
+        # the columns where the pivot row is nonzero and the right-hand
+        # side, a block of rows at a time
+        keep = row != 0
+        keep[-1] = True
+        nz = keep.nonzero()[0]
+        touched = np.abs(col) > 1e-14
+        touched[leave] = False
+        rows = touched.nonzero()[0]
+        mult, row_nz = col.take(rows), row.take(nz)
+        step = max(1, PIVOT_BLOCK_CELLS // len(nz))
+        for s in range(0, len(rows), step):
+            idx = (rows[s : s + step] * width)[:, None] + nz
+            vals = flat.take(idx)
+            vals -= mult[s : s + step, None] * row_nz
+            flat[idx] = vals
         basis[leave] = e
     else:
         raise SolverLimitError("simplex iteration limit reached")

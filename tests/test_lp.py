@@ -15,6 +15,7 @@ from multiprice import lp
 from multiprice import (
     ArrivalSequence,
     DomainError,
+    ExperimentConfig,
     Item,
     MnlModel,
     NEVER,
@@ -22,6 +23,10 @@ from multiprice import (
     Setup,
     SolverLimitError,
     assortment_value,
+    build_instance,
+    build_value_function,
+    generate_hotel_ensemble,
+    lp_bound,
     run_balance,
     run_balance_fractional,
     run_gnr,
@@ -127,6 +132,26 @@ class TestSimplex:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="^simplex_max needs"):
                 simplex_max(c, A, b)
+
+    @pytest.mark.parametrize("max_iter", [2.5, "3", True, -1])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(DomainError, match="^max_iter must be an integer >= 0"):
+            simplex_max([1.0], [[1.0]], [1.0], max_iter)
+
+    def test_max_iter_may_be_a_numpy_integer(self):
+        assert simplex_max([1.0], [[1.0]], [1.0], np.int64(5))[0] == 1.0
+
+    def test_empty_lp(self):
+        obj, x, duals = simplex_max([], np.zeros((0, 0)), [])
+        assert type(obj) is float and obj == 0.0
+        for v in (x, duals):
+            assert isinstance(v, np.ndarray) and v.shape == (0,)
+
+    def test_no_constraints(self):
+        with pytest.raises(SolverLimitError, match="^unbounded LP$"):
+            simplex_max([1.0], np.zeros((0, 1)), [])
+        obj, x, duals = simplex_max([-1.0], np.zeros((0, 1)), [])
+        assert (obj, x.tolist(), duals.tolist()) == (0.0, [0.0], [])
 
     def test_random_against_scipy(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -240,8 +265,74 @@ def small_lps(draw):
 @given(small_lps())
 # a tie that Bland's rule breaks towards the later row
 @example(([2.0, 2.0], [[-1.0, 0.0], [0.0, 2.0], [2.0, 1.0]], [0.0, 0.0, 0.0], 3))
+# -0.0 in A, b and c, and zero costs: the block update leaves a -0.0 where
+# the full-row update has +0.0 in the objective row's structural entries
+@example(([-1.0, -0.0, 1.0], [[-1.0, -0.0, 1.0], [-0.0, -0.0, 2.0]], [-0.0, 2.0], None))
+@example(([0.0, 0.0, 1.0], [[2.0, -0.0, -1.0], [0.0, 2.0, 1.0]], [-0.0, 1.0], None))
+@example(([2.0, 0.0, 0.0], [[2.0, 0.0, 1.0]], [0.0], None))
+@example(([0.0, 2.0], [[0.0, 2.0], [2.0, -1.0], [0.0, 2.0]], [-0.0, 0.0, 1.0], 3))
+# a pivot division rounds a tiny negative right-hand side to -0.0, which a
+# later pivot must update as the full-row update does
+@example(([2.0, 2.0, 1.0, -1.0], [[1.0, -5e-324, -1.0, 1e-310], [1.0, -1.0, 4.0, -0.0],
+                                  [-0.0, 1.0, 1.0, -5e-324], [5e-324, -1.0, 5e-324, 1.0]],
+          [5e-324, 0.0, 0.0, 0.0], None))
 def test_simplex_bit_identical_to_reference(lp_args):
     assert simplex_outcome(simplex_max, *lp_args) == simplex_outcome(reference_simplex_max, *lp_args)
+
+
+@pytest.mark.parametrize("lp_args", [
+    ([1.0, -0.0], [[1.0, -1.0], [1.0, 1.0]], [-0.0, 0.0], None),
+    ([1.0, -0.0], [[-1.0, 2.0], [2.0, -1.0]], [-0.0, 0.0], None),
+])
+def test_negative_zero_right_hand_side_matches_reference(lp_args):
+    """Under a maximum that keeps -0.0 (IEEE leaves max(-0, +0) open), the
+    right-hand side starts with a -0.0, and the solve still gives the
+    reference's floats."""
+    def keeps_negative_zero(x, y):
+        return np.where(x >= y, x, y)
+
+    with mock.patch.object(np, "maximum", keeps_negative_zero):
+        assert (simplex_outcome(simplex_max, *lp_args)
+                == simplex_outcome(reference_simplex_max, *lp_args))
+
+
+def lps_solved_by(solve, *args):
+    """The (c, A, b) of every simplex_max call that solve(*args) makes."""
+    lps = []
+
+    def spy(c, A, b, max_iter=None):
+        lps.append((np.array(c), np.array(A), np.array(b)))
+        return simplex_max(c, A, b, max_iter)
+
+    with mock.patch.object(lp, "simplex_max", spy):
+        solve(*args)
+    return lps
+
+
+def workload_lps():
+    """LPs of the sizes the program solves: the assignment LPs of nested
+    k = 1 adversarial instances at n = 60 (120 rows, 1950 columns, about
+    980 pivots, of which about 9% touch more than PIVOT_BLOCK_CELLS cells),
+    one at k = 3, and the choice-LP masters of one hotel day (12 rows)."""
+    vf = build_value_function([1.0, 3.0])
+    lps = []
+    for n, k, seed in ((60, 1, 0), (60, 1, 1), (60, 1, 2), (20, 3, 0)):
+        inst = build_instance(vf, n, k, seed)
+        lps += lps_solved_by(solve_primal, inst.setup, inst.arrivals)
+    cfg = ExperimentConfig(loading_factors=(1.6,), n_days=1, base_seed=1)
+    lps += lps_solved_by(lp_bound, *generate_hotel_ensemble(cfg, 1.6)[0])
+    return lps
+
+
+@pytest.mark.parametrize("block_cells", [lp.PIVOT_BLOCK_CELLS, 1000])
+def test_workload_size_lps_bit_identical_to_reference(block_cells, empty_memo):
+    lps = workload_lps()
+    assert [A.shape[0] for _, A, _ in lps[:4]] == [120, 120, 120, 80]
+    assert len(lps) > 4 and all(A.shape[0] == 12 for _, A, _ in lps[4:])
+    with mock.patch.object(lp, "PIVOT_BLOCK_CELLS", block_cells):
+        for c, A, b in lps:
+            assert (simplex_outcome(simplex_max, c, A, b, None)
+                    == simplex_outcome(reference_simplex_max, c, A, b, None))
 
 
 class TestPrimalLp:
