@@ -111,8 +111,7 @@ def _load_instance(path):
         if kind == "deterministic":
             arrivals = ArrivalSequence(kind=kind, willing=np.asarray(arr["willing"]))
         elif kind == "single_offer":
-            probs = tuple(tuple(tuple(p) for p in row) for row in arr["probs"])
-            arrivals = ArrivalSequence(kind=kind, probs=probs)
+            arrivals = ArrivalSequence(kind=kind, probs=arr["probs"])
         elif kind == "assortment":
             raise ValidationError("assortment instances are driven by hotel-sim")
         else:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choice import choice_probs, expected_value, optimize_assortment, sample_choice
+from .choice import MnlModel, choice_probs, expected_value, optimize_assortment, sample_choice
 from .errors import DomainError, MultipriceError, ValidationError, as_int
 from .perturb import build_perturbed, rounding_classes
 from .streams import item_uniforms
@@ -114,6 +114,7 @@ def _read_only(a):
 
 _BAD_WILLING = "willing must be a T x %s integer array"
 _OUT_OF_RANGE = "willing index outside an item's price range"
+_BAD_PROBS = "probs needs, per customer and item, one probability in [0, 1] per price"
 
 
 class ArrivalSequence:
@@ -125,10 +126,10 @@ class ArrivalSequence:
     first use, or runs=(rows, counts), row r being the willingness of
     counts[r] customers in a row; willing and T are derived from the runs.
     The arrays are read, never written, and must not change once the
-    sequence has been used.  kind "single_offer": probs[t] is a per-item
-    tuple of per-price probabilities.  kind "assortment":
-    types[t] indexes into model; products maps model product indices to
-    (item, price index) pairs.
+    sequence has been used.  kind "single_offer": probs[t][i] holds item i's
+    per-price probabilities, kept as prob_table from first use.  kind
+    "assortment": types[t] indexes into model, an MnlModel; products maps
+    model product indices to (item, price index) pairs.
     """
 
     KINDS = ("deterministic", "single_offer", "assortment")
@@ -183,13 +184,54 @@ class ArrivalSequence:
         """The T x n willingness matrix."""
         return np.repeat(*self.runs, axis=0)
 
+    @functools.cached_property
+    def _offered(self):
+        """(prob_table, each item's number of prices) on first use: DomainError
+        unless every row holds per item as many numbers in [0, 1] as the first."""
+        try:
+            sizes = np.array([[len(r) for r in row] for row in self.probs], dtype=int)
+            flat = np.array([p for row in self.probs for r in row for p in r])
+        except (TypeError, ValueError):  # not nested sequences, or rows of unequal length
+            raise DomainError(_BAD_PROBS) from None
+        ms = sizes[0] if len(sizes) else sizes
+        if (np.any(sizes != ms) or flat.shape != (sizes.sum(),) or flat.dtype.kind not in "biuf"
+                or not ((flat >= 0) & (flat <= 1)).all()):
+            raise DomainError(_BAD_PROBS)
+        js = np.arange(ms.max(initial=0) + 1)
+        table = np.zeros((len(sizes), len(ms), len(js)))
+        table[:, (js >= 1) & (js <= ms[:, None])] = flat.reshape(len(sizes), ms.sum())
+        return _read_only(table), _read_only(ms)
+
+    @property
+    def prob_table(self):
+        """probs as one read-only T x n x (m_max + 1) array laid out like Setup.price_table."""
+        return self._offered[0]
+
+    @functools.cached_property
+    def _types(self):
+        """The types as an array, on first use: DomainError unless each is one
+        of the MnlModel's and days_out, if given, holds one per customer."""
+        try:
+            types = np.asarray(self.types)
+            days = None if self.days_out is None else np.asarray(self.days_out)
+        except ValueError:  # ragged
+            raise DomainError("types and days_out must be flat sequences") from None
+        if not isinstance(self.model, MnlModel) or types.size and (
+                types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
+                or types.max() >= self.model.n_types):
+            raise DomainError("customer types must be integers among an MnlModel's types")
+        if days is not None and (days.shape != types.shape or days.dtype.kind not in "iuf"
+                                 or not np.isfinite(days).all()):
+            raise DomainError("days_out needs one finite lead time per customer")
+        return types
+
     @property
     def T(self):
         if self.kind == "deterministic":
             return int(self.runs[1].sum())
         if self.kind == "assortment":
             return len(self.types)
-        return len(self.probs)
+        return len(self.prob_table)
 
 
 @dataclass
@@ -205,6 +247,8 @@ def check_products(setup, products):
     """Raise DomainError unless every product is an (item, price index)
     pair of the setup."""
     ms = setup.ms.tolist()
+    if not isinstance(products, (list, tuple)):
+        raise DomainError("products must be a list of (item, price index) pairs")
     for product in products:
         try:
             i, j = (as_int(x, 0, "index") for x in product)
@@ -217,38 +261,24 @@ def check_products(setup, products):
 
 def validate(setup, arrivals, policy, *kinds):
     """Raise DomainError unless the arrivals are of one of the kinds that
-    `policy` takes and fit the setup.  Every runner and the hindsight LP
-    call this first, so malformed input never ends in an index error deep
-    inside a policy."""
+    `policy` takes and fit the setup, their own shape checked once on first
+    use.  Every runner and the hindsight LP call this first, so malformed
+    input never ends in an index error deep inside a policy."""
     if arrivals.kind not in kinds:
         raise DomainError("%s takes %s arrivals, not %s"
                           % (policy, " or ".join(kinds), arrivals.kind))
-    n = setup.n
-    if arrivals.kind == "deterministic":
-        top = arrivals._found[2]  # found and checked with the runs, once per sequence
-        if len(top) != n:
-            raise DomainError(_BAD_WILLING % n)
+    if arrivals.kind == "assortment":
+        arrivals._types  # checked once per sequence
+        check_products(setup, arrivals.products)
+    elif arrivals.kind == "single_offer":
+        if arrivals.T and not np.array_equal(arrivals._offered[1], setup.ms):
+            raise DomainError(_BAD_PROBS)
+    else:
+        top = arrivals._found[2]
+        if len(top) != setup.n:
+            raise DomainError(_BAD_WILLING % setup.n)
         if np.any(top > setup.ms):
             raise DomainError(_OUT_OF_RANGE)
-        return
-    if arrivals.kind == "assortment":
-        check_products(setup, arrivals.products)
-        types = np.asarray(arrivals.types)
-        if types.size and (types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
-                           or types.max() >= arrivals.model.n_types):
-            raise DomainError("customer types must be integers among the model's types")
-        if arrivals.days_out is not None:
-            days = np.asarray(arrivals.days_out)
-            if (days.shape != types.shape or days.dtype.kind not in "iuf"
-                    or not np.isfinite(days).all()):
-                raise DomainError("days_out needs one finite lead time per customer")
-    else:
-        ms = setup.ms.tolist()
-        for row in arrivals.probs:
-            if len(row) != n or any(len(r) != m for r, m in zip(row, ms)):
-                raise DomainError("probs row needs one probability per price of each item")
-            if not all(isinstance(p, numbers.Real) and 0.0 <= p <= 1.0 for r in row for p in r):
-                raise DomainError("probability outside [0, 1]")
 
 
 def _stream(rng_seed, i):
@@ -329,9 +359,6 @@ class _Offer:
     def rows(self):
         """The bids as lists, cheaper to read one by one."""
         return self.bid.tolist()
-
-    def value(self, i, j):
-        return self.combine(self.rows[i][j], self.state[i])
 
     def values(self, products, ledger):
         """Offer value of each product, 0 once its item is sold out; the
@@ -433,31 +460,30 @@ def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
     return ledger
 
 
-def _best_offer(row, value):
-    """(p * value, item, price index) of the first strict maximum over the
-    items in order, each item's prices from high to low; item -1 when no
-    offer is worth making.  A sold-out item's state makes none worth it."""
-    best = (POSITIVITY_EPS, -1, -1)
-    for i, probs in enumerate(row):
-        for j in range(len(probs), 0, -1):
-            p = probs[j - 1]
-            if p > 0.0:
-                z = p * value(i, j)
-                if z > best[0]:
-                    best = (z, i, j)
-    return best
+def _best_offers(arrivals, offer):
+    """(t, item, price index, z, p) of each customer's best offer worth
+    making, z = p * offer value: the first strict maximum over the items in
+    order, each item's prices from high to low.  A sold-out item's state
+    makes none worth it.  Only p > 0 is multiplied: no 0 * inf is formed."""
+    z = np.empty(arrivals.prob_table.shape[1:])
+    scan, width = z[:, ::-1], z.shape[1]  # each item's prices from high to low
+    for t, p in enumerate(arrivals.prob_table):
+        z.fill(-np.inf)
+        np.multiply(p, offer.combine(offer.bid, offer.state[:, None]), out=z, where=p > 0.0)
+        i, r = divmod(int(scan.argmax()), width)
+        if scan[i, r] > POSITIVITY_EPS:
+            yield t, i, width - 1 - r, float(scan[i, r]), float(p[i, -1 - r])
 
 
 def _single_offer_loop(setup, arrivals, rng_seed, offer, ledger, on_sale=None):
     """Each customer is offered the best (item, price) and buys it with its
     probability, drawn from the choice stream."""
     rng = _stream(rng_seed, setup.n)
-    for t, row in enumerate(arrivals.probs):
-        z, i, j = _best_offer(row, offer.value)
-        if i >= 0 and rng.random() < row[i][j - 1]:
-            price = ledger.sell(t, i, j, float(z))
+    for t, i, j, z, p in _best_offers(arrivals, offer):
+        if rng.random() < p:
+            price = ledger.sell(t, i, j, z)
             if on_sale is not None:
-                on_sale(t, i, float(z), price)
+                on_sale(t, i, z, price)
             offer.advance(i)
     return ledger
 
@@ -469,17 +495,13 @@ def _fractional_loop(setup, arrivals, offer, ledger, vfs):
     ks = ledger.ks
     w = np.zeros(setup.n)
     truncations = 0
-    for t, row in enumerate(arrivals.probs):
-        z, i, j = _best_offer(row, offer.value)
-        if i < 0:
-            continue
-        p = row[i][j - 1]
+    for t, i, j, z, p in _best_offers(arrivals, offer):
         accept = min(p, (1.0 - w[i]) * ks[i])
         if accept < p:
             truncations += 1
         w[i] = min(1.0, w[i] + accept / ks[i])
         offer.put(i, vfs[i].phi(w[i]))
-        ledger.book(t, i, j, accept * setup.items[i].priceset.price(j), float(z))
+        ledger.book(t, i, j, accept * setup.items[i].priceset.price(j), z)
     return ledger.result(final_inventory=[k * (1.0 - wi) for k, wi in zip(ks, w)],
                          meta={"truncations": truncations})
 

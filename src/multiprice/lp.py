@@ -45,7 +45,7 @@ def simplex_max(c, A, b, max_iter=None):
     Dense tableau, slack starting basis, largest-coefficient pivoting with
     a switch to Bland's rule to break potential cycling.  Returns
     (objective, x, duals).  Degenerate ties go to the lowest row index.
-    max_iter, an integer >= 0, bounds the iterations (default
+    max_iter, an integer >= 0, bounds the pivots (default
     50 (m + n) + 1000).
 
     Each pivot updates only the block it can change: the rows whose
@@ -90,7 +90,7 @@ def simplex_max(c, A, b, max_iter=None):
     costs, rhs, ratios = T[m, :-1], T[:m, -1], np.empty(m)
     flat, width = T.reshape(-1), T.shape[1]
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):  # max_iter pivots, then a last optimality check
         if it < bland_after:
             e = int(costs.argmin())
             if costs[e] >= -PIVOT_TOL:
@@ -100,6 +100,8 @@ def simplex_max(c, A, b, max_iter=None):
             if len(neg) == 0:
                 break
             e = int(neg[0])
+        if it == max_iter:
+            raise SolverLimitError("simplex iteration limit reached")
         col = T[:, e]
         pos = col[:m] > PIVOT_TOL
         ratios.fill(np.inf)
@@ -133,8 +135,6 @@ def simplex_max(c, A, b, max_iter=None):
             vals -= mult[s : s + step, None] * row_nz
             flat[idx] = vals
         basis[leave] = e
-    else:
-        raise SolverLimitError("simplex iteration limit reached")
 
     x = np.zeros(nv)
     for r, v in enumerate(basis):
@@ -161,21 +161,17 @@ def solve_primal(setup, arrivals):
         rows, counts = arrivals.runs
         nv = int(counts @ rows.sum(axis=1))
     else:
-        nv = sum(p > 0.0 for row in arrivals.probs for r in row for p in r)
+        probs = arrivals.prob_table
+        nv = int(np.count_nonzero(probs > 0.0))
     cells = (n + T_len + 1) * (nv + n + T_len + 1)
     if cells > MAX_TABLEAU_CELLS:
         raise SolverLimitError("primal LP too large (%d variables, %d tableau cells)"
                                % (nv, cells))
 
-    # probs[t, i, j]: the chance customer t buys item i at price j if offered
+    # a deterministic customer buys with p = 1 every price up to their willingness
     if arrivals.kind == "deterministic":
         js = np.arange(prices.shape[1])
         probs = ((js >= 1) & (js <= np.asarray(arrivals.willing)[:, :, None])).astype(float)
-    else:
-        probs = np.zeros((T_len,) + prices.shape)
-        for t, row in enumerate(arrivals.probs):
-            for i, p_i in enumerate(row):
-                probs[t, i, 1 : len(p_i) + 1] = p_i
 
     tv, iv, jv = np.nonzero(probs > 0.0)  # the variables in (t, i, j) order
     p = probs[tv, iv, jv]

@@ -458,8 +458,13 @@ INSTANCES = st.one_of(fitting_instances(), st.fixed_dictionaries(
      "arrivals": st.one_of(
          st.fixed_dictionaries({"kind": st.just("deterministic"), "willing": st.lists(
              st.lists(st.integers(-1, 4), max_size=3), max_size=6)}),
+         # rows of per-item lists, and rows or entries of other JSON types,
+         # which the arrivals' own check refuses after _load_instance
          st.fixed_dictionaries({"kind": st.just("single_offer"), "probs": st.lists(
-             st.lists(st.lists(FLOATS, max_size=3), max_size=3), max_size=4)}),
+             st.one_of(st.lists(st.one_of(st.lists(FLOATS, max_size=3), st.text(max_size=2)),
+                                max_size=3),
+                       FLOATS, st.dictionaries(st.text(max_size=2), FLOATS, max_size=2)),
+             max_size=4)}),
          st.fixed_dictionaries({"kind": st.sampled_from(["fractional", "assortment", "x"])}))},
     optional={"trials": st.one_of(st.integers(-1, 2), FLOATS),
               "seed": st.one_of(st.integers(-1, 2**70), FLOATS),

@@ -21,6 +21,7 @@ from multiprice import (
     ValidationError,
     build_value_function,
     certified_lower_bounds,
+    lp_bound,
     run_balance,
     run_balance_assortment,
     run_balance_fractional,
@@ -30,6 +31,7 @@ from multiprice import (
     run_hybrid,
     run_myopic,
     run_ranking,
+    solve_primal,
 )
 from multiprice import choice, cli, engine, perturb
 from multiprice.engine import (BOOKING_CURVE, POLICIES, Ledger, hotel_policies, interpolate, psi,
@@ -132,9 +134,12 @@ class TestValidate:
         ((0.5, 1.5), (0.5,)),         # probability above 1
         ((0.5, -0.1), (0.5,)),        # probability below 0
         ((0.5, "0.5"), (0.5,)),       # not a number
+        None,                         # no probs at all
+        0.5,                          # a row that is not a sequence
+        ((0.5, 0.5), 0.5),            # an item's entry that is not a sequence
     ])
     def test_bad_probs(self, regime, row):
-        arrivals = ArrivalSequence(kind="single_offer", probs=(row,))
+        arrivals = ArrivalSequence(kind="single_offer", probs=None if row is None else (row,))
         with pytest.raises(DomainError):
             validate(self.setup, arrivals, "test", "single_offer")
         with pytest.raises(DomainError):
@@ -177,10 +182,18 @@ class TestValidate:
         ((0, 1), None, (3.0, "2")),
         ((0, 1), ((0, 1), (0, 1, 2)), None),  # a product that is not a pair
         ((0, 1), ((0, 1), 5), None),
+        ((0, 1), "products", None),          # no products
+        ((0, 1), "model", None),             # no model
+        (((0,), (0, 1)), None, None),        # ragged types
+        ((0, 1), None, ((1.0,), (1.0, 2.0))),  # ragged lead times
     ])
     def test_bad_assortment_entries(self, types, products, days_out):
         setup, good_products, model = small_choice_setting()
-        arrivals = assortment_arrivals(model, products or good_products, types, days_out)
+        left_out = products if products in ("products", "model") else None
+        arrivals = assortment_arrivals(model, products if products and not left_out
+                                       else good_products, types, days_out)
+        if left_out:
+            setattr(arrivals, left_out, None)
         with pytest.raises(DomainError):
             validate(setup, arrivals, "test", "assortment")
         with pytest.raises(DomainError):
@@ -411,6 +424,141 @@ class TestRuns:
     def test_runs_must_be_a_pair(self):
         with pytest.raises(ValidationError):
             ArrivalSequence(kind="deterministic", runs=(np.array([[1, 0]]),))
+
+
+def scalar_best_offer(row, value):
+    """(p * value, item, price index) of the first strict maximum over the
+    items in order, each item's prices from high to low; item -1 when no
+    offer is worth making.  The single-offer scan as it was before the
+    probability table, kept verbatim as the reference for the vectorised
+    one."""
+    best = (engine.POSITIVITY_EPS, -1, -1)
+    for i, probs in enumerate(row):
+        for j in range(len(probs), 0, -1):
+            p = probs[j - 1]
+            if p > 0.0:
+                z = p * value(i, j)
+                if z > best[0]:
+                    best = (z, i, j)
+    return best
+
+
+def scalar_value(offer):
+    return lambda i, j: offer.combine(offer.rows[i][j], offer.state[i])
+
+
+def scalar_single_offer_loop(setup, arrivals, rng_seed, offer, ledger, on_sale=None):
+    """The single-offer loop over the probability tuples, one scalar scan
+    per customer, as it was before the probability table."""
+    rng = engine._stream(rng_seed, setup.n)
+    for t, row in enumerate(arrivals.probs):
+        z, i, j = scalar_best_offer(row, scalar_value(offer))
+        if i >= 0 and rng.random() < row[i][j - 1]:
+            price = ledger.sell(t, i, j, float(z))
+            if on_sale is not None:
+                on_sale(t, i, float(z), price)
+            offer.advance(i)
+    return ledger
+
+
+def scalar_fractional_loop(setup, arrivals, offer, ledger, vfs):
+    """The fluid loop over the probability tuples, as it was before the
+    probability table."""
+    ks = ledger.ks
+    w = np.zeros(setup.n)
+    truncations = 0
+    for t, row in enumerate(arrivals.probs):
+        z, i, j = scalar_best_offer(row, scalar_value(offer))
+        if i < 0:
+            continue
+        p = row[i][j - 1]
+        accept = min(p, (1.0 - w[i]) * ks[i])
+        if accept < p:
+            truncations += 1
+        w[i] = min(1.0, w[i] + accept / ks[i])
+        offer.put(i, vfs[i].phi(w[i]))
+        ledger.book(t, i, j, accept * setup.items[i].priceset.price(j), float(z))
+    return ledger.result(final_inventory=[k * (1.0 - wi) for k, wi in zip(ks, w)],
+                         meta={"truncations": truncations})
+
+
+SINGLE_OFFER_POLICIES = (
+    (run_balance, {"duals_trace": True}),
+    (run_balance, {"perturbed": False, "duals_trace": True}),
+    (run_myopic, {}),
+    (run_gnr, {}),
+    (run_conservative, {}),
+    (run_balance_fractional, {}),
+)
+
+
+@st.composite
+def single_offer_instances(draw):
+    """A setup of items with 1-3 prices and 1-3 units, and up to 12
+    customers whose probabilities are often 0 or equal, so that offers tie
+    exactly, within an item and across items of one price set."""
+    pricesets = [PriceSet(p) for p in ([2.0], [1.0, 2.0], [1.0, 2.0, 4.0], [2.0, 5.0])]
+    items = tuple(Item(k=draw(st.integers(1, 3)), priceset=draw(st.sampled_from(pricesets)))
+                  for _ in range(draw(st.integers(1, 4))))
+    prob = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    row = st.tuples(*(st.tuples(*[prob] * it.priceset.m) for it in items))
+    return Setup(items=items), tuple(draw(st.lists(row, max_size=12)))
+
+
+class TestSingleOfferScan:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=single_offer_instances(), seed=st.integers(0, 2**32))
+    @example(case=(Setup(items=(Item(k=1, priceset=PriceSet([1.0, 2.0])),)), ()), seed=0)
+    @example(case=(Setup(items=(Item(k=1, priceset=PriceSet([1.0, 2.0])),) * 2),
+                   (((0.5, 0.25), (0.5, 0.25)),) * 4), seed=3)
+    def test_equals_scalar_scan(self, case, seed):
+        # every single-offer runner against the loops over the tuples with
+        # the scalar scan they replaced, bit for bit: ties go to the first
+        # item and its highest price, T = 0 included
+        setup, probs = case
+        for fn, options in SINGLE_OFFER_POLICIES:
+            with mock.patch.object(engine, "_single_offer_loop", scalar_single_offer_loop), \
+                    mock.patch.object(engine, "_fractional_loop", scalar_fractional_loop):
+                want = fn(setup, ArrivalSequence(kind="single_offer", probs=probs), seed, **options)
+            got = fn(setup, ArrivalSequence(kind="single_offer", probs=probs), seed, **options)
+            assert (exact(got), canon(got.meta)) == (exact(want), canon(want.meta))
+
+
+class TestCheckedOnce:
+    """Each arrival kind's shape is checked once per sequence, on first use."""
+
+    @staticmethod
+    def counted(prop, calls):
+        func = prop.func
+        return mock.patch.object(prop, "func", lambda self: calls.append(1) or func(self))
+
+    def test_single_offer_table_built_once(self):
+        setup = Setup(items=(Item(k=2, priceset=PriceSet([1.0, 3.0])),
+                             Item(k=1, priceset=PriceSet([2.0]))))
+        arrivals = ArrivalSequence(kind="single_offer",
+                                   probs=(((0.5, 0.25), (1.0,)), ((0.0, 1.0), (0.5,))))
+        builds = []
+        with self.counted(ArrivalSequence._offered, builds):
+            for seed in range(2):
+                for fn in (run_balance, run_myopic, run_balance_fractional):
+                    fn(setup, arrivals, seed)
+            solve_primal(setup, arrivals)
+        assert len(builds) == 1
+        table = arrivals.prob_table
+        assert table is arrivals.prob_table and not table.flags.writeable
+        assert table.tolist() == [[[0.0, 0.5, 0.25], [0.0, 1.0, 0.0]],
+                                  [[0.0, 0.0, 1.0], [0.0, 0.5, 0.0]]]
+        assert arrivals.T == 2
+
+    def test_assortment_types_checked_once(self):
+        setup, products, model = small_choice_setting()
+        arrivals = assortment_arrivals(model, products, [0, 1, 1, 0], [3.0, 2.0, 1.0, 0.0])
+        checks = []
+        with self.counted(ArrivalSequence._types, checks):
+            lp_bound(setup, arrivals)
+            run_balance_assortment(setup, arrivals, 0)
+            run_bidprice(setup, arrivals, 0, expected_total=4.0)
+        assert len(checks) == 1
 
 
 class TestPriceTableCache:
@@ -809,7 +957,8 @@ class TestOfferMemo:
         advanced = offer.values(products, ledger)
         assert advanced[:2] != first[:2] and advanced[2:] == first[2:]
         offer.put(1, 0.0)
-        assert offer.values(products, ledger)[2:] == [offer.value(i, j) for i, j in products[2:]]
+        assert offer.values(products, ledger)[2:] == \
+            [offer.combine(offer.rows[i][j], offer.state[i]) for i, j in products[2:]]
 
     def test_best_asks_the_oracle_once_per_pi(self, monkeypatch):
         setup, products, model = small_choice_setting()

@@ -138,6 +138,13 @@ class TestSimplex:
         with pytest.raises(DomainError, match="^max_iter must be an integer >= 0"):
             simplex_max([1.0], [[1.0]], [1.0], max_iter)
 
+    def test_max_iter_counts_pivots(self):
+        # the last optimality check is not an iteration of its own
+        assert simplex_max([1.0], [[1.0]], [1.0], max_iter=1)[0] == 1.0
+        assert simplex_max([-1.0], [[1.0]], [1.0], max_iter=0)[0] == 0.0
+        with pytest.raises(SolverLimitError, match="iteration limit"):
+            simplex_max([1.0], [[1.0]], [1.0], max_iter=0)
+
     def test_max_iter_may_be_a_numpy_integer(self):
         assert simplex_max([1.0], [[1.0]], [1.0], np.int64(5))[0] == 1.0
 
@@ -169,7 +176,9 @@ class TestSimplex:
 
 def reference_simplex_max(c, A, b, max_iter=None):
     """The simplex_max that checked and updated every tableau row in turn,
-    kept verbatim as the reference for bit-identical output."""
+    kept verbatim as the reference for bit-identical output, but for its
+    iteration limit, which allows max_iter pivots and a last optimality
+    check as simplex_max does."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -189,7 +198,7 @@ def reference_simplex_max(c, A, b, max_iter=None):
     T[m, :nv] = -c
     basis = list(range(nv, nv + m))
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         costs = T[m, :-1]
         if it < bland_after:
             e = int(np.argmin(costs))
@@ -200,6 +209,8 @@ def reference_simplex_max(c, A, b, max_iter=None):
             if len(neg) == 0:
                 break
             e = int(neg[0])
+        if it == max_iter:
+            raise SolverLimitError("simplex iteration limit reached")
         col = T[:m, e]
         pos = col > lp.PIVOT_TOL
         if not np.any(pos):
@@ -219,8 +230,6 @@ def reference_simplex_max(c, A, b, max_iter=None):
             if r != leave and abs(T[r, e]) > 1e-14:
                 T[r] -= T[r, e] * T[leave]
         basis[leave] = e
-    else:
-        raise SolverLimitError("simplex iteration limit reached")
 
     x = np.zeros(nv)
     for r, v in enumerate(basis):
@@ -276,6 +285,9 @@ def small_lps(draw):
 @example(([2.0, 2.0, 1.0, -1.0], [[1.0, -5e-324, -1.0, 1e-310], [1.0, -1.0, 4.0, -0.0],
                                   [-0.0, 1.0, 1.0, -5e-324], [5e-324, -1.0, 5e-324, 1.0]],
           [5e-324, 0.0, 0.0, 0.0], None))
+# max_iter counts pivots: one pivot solves the first, none the second
+@example(([1.0], [[1.0]], [1.0], 1))
+@example(([-1.0], [[1.0]], [1.0], 0))
 def test_simplex_bit_identical_to_reference(lp_args):
     assert simplex_outcome(simplex_max, *lp_args) == simplex_outcome(reference_simplex_max, *lp_args)
 
