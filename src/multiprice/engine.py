@@ -186,8 +186,8 @@ class ArrivalSequence:
 
     @functools.cached_property
     def _offered(self):
-        """(prob_table, each item's number of prices) on first use: DomainError
-        unless every row holds per item as many numbers in [0, 1] as the first."""
+        """(prob_table, its rows as lists, each item's price count) on first use:
+        DomainError unless every row holds per item as many numbers in [0, 1] as the first."""
         try:
             sizes = np.array([[len(r) for r in row] for row in self.probs], dtype=int)
             flat = np.array([p for row in self.probs for r in row for p in r])
@@ -200,30 +200,12 @@ class ArrivalSequence:
         js = np.arange(ms.max(initial=0) + 1)
         table = np.zeros((len(sizes), len(ms), len(js)))
         table[:, (js >= 1) & (js <= ms[:, None])] = flat.reshape(len(sizes), ms.sum())
-        return _read_only(table), _read_only(ms)
+        return _read_only(table), table.tolist(), _read_only(ms)
 
     @property
     def prob_table(self):
         """probs as one read-only T x n x (m_max + 1) array laid out like Setup.price_table."""
         return self._offered[0]
-
-    @functools.cached_property
-    def _types(self):
-        """The types as an array, on first use: DomainError unless each is one
-        of the MnlModel's and days_out, if given, holds one per customer."""
-        try:
-            types = np.asarray(self.types)
-            days = None if self.days_out is None else np.asarray(self.days_out)
-        except ValueError:  # ragged
-            raise DomainError("types and days_out must be flat sequences") from None
-        if not isinstance(self.model, MnlModel) or types.size and (
-                types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
-                or types.max() >= self.model.n_types):
-            raise DomainError("customer types must be integers among an MnlModel's types")
-        if days is not None and (days.shape != types.shape or days.dtype.kind not in "iuf"
-                                 or not np.isfinite(days).all()):
-            raise DomainError("days_out needs one finite lead time per customer")
-        return types
 
     @property
     def T(self):
@@ -261,24 +243,34 @@ def check_products(setup, products):
 
 def validate(setup, arrivals, policy, *kinds):
     """Raise DomainError unless the arrivals are of one of the kinds that
-    `policy` takes and fit the setup, their own shape checked once on first
-    use.  Every runner and the hindsight LP call this first, so malformed
-    input never ends in an index error deep inside a policy."""
+    `policy` takes and fit the setup.  Every runner and the hindsight LP
+    call this first, so malformed input never ends in an index error deep
+    inside a policy."""
     if arrivals.kind not in kinds:
         raise DomainError("%s takes %s arrivals, not %s"
                           % (policy, " or ".join(kinds), arrivals.kind))
-    if arrivals.kind == "assortment":
-        arrivals._types  # checked once per sequence
-        check_products(setup, arrivals.products)
-    elif arrivals.kind == "single_offer":
-        if arrivals.T and not np.array_equal(arrivals._offered[1], setup.ms):
-            raise DomainError(_BAD_PROBS)
-    else:
-        top = arrivals._found[2]
+    if arrivals.kind == "deterministic":
+        top = arrivals._found[2]  # found and checked with the runs, once per sequence
         if len(top) != setup.n:
             raise DomainError(_BAD_WILLING % setup.n)
         if np.any(top > setup.ms):
             raise DomainError(_OUT_OF_RANGE)
+    elif arrivals.kind == "assortment":
+        check_products(setup, arrivals.products)
+        try:
+            types = np.asarray(arrivals.types)
+            days = None if arrivals.days_out is None else np.asarray(arrivals.days_out)
+        except ValueError:  # ragged
+            raise DomainError("types and days_out must be flat sequences") from None
+        if not isinstance(arrivals.model, MnlModel) or types.size and (
+                types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
+                or types.max() >= arrivals.model.n_types):
+            raise DomainError("customer types must be integers among an MnlModel's types")
+        if days is not None and (days.shape != types.shape or days.dtype.kind not in "iuf"
+                                 or not np.isfinite(days).all()):
+            raise DomainError("days_out needs one finite lead time per customer")
+    elif arrivals.T and not np.array_equal(arrivals._offered[2], setup.ms):  # single-offer
+        raise DomainError(_BAD_PROBS)
 
 
 def _stream(rng_seed, i):
@@ -461,18 +453,19 @@ def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
 
 
 def _best_offers(arrivals, offer):
-    """(t, item, price index, z, p) of each customer's best offer worth
-    making, z = p * offer value: the first strict maximum over the items in
-    order, each item's prices from high to low.  A sold-out item's state
-    makes none worth it.  Only p > 0 is multiplied: no 0 * inf is formed."""
-    z = np.empty(arrivals.prob_table.shape[1:])
-    scan, width = z[:, ::-1], z.shape[1]  # each item's prices from high to low
-    for t, p in enumerate(arrivals.prob_table):
-        z.fill(-np.inf)
-        np.multiply(p, offer.combine(offer.bid, offer.state[:, None]), out=z, where=p > 0.0)
-        i, r = divmod(int(scan.argmax()), width)
-        if scan[i, r] > POSITIVITY_EPS:
-            yield t, i, width - 1 - r, float(scan[i, r]), float(p[i, -1 - r])
+    """(t, item, price index, p * offer value, p) of each customer's best offer
+    worth making: the first strict maximum over the items in order, each
+    item's prices from high to low.  A sold-out item's state makes none worth it."""
+    for t, row in enumerate(arrivals._offered[1]):
+        best = (POSITIVITY_EPS, -1, -1, 0.0)
+        for i, probs in enumerate(row):
+            for j in range(len(probs) - 1, 0, -1):  # column 0 and the padding hold 0
+                if probs[j] > 0.0:
+                    z = probs[j] * offer.combine(offer.rows[i][j], offer.state[i])
+                    if z > best[0]:
+                        best = (z, i, j, probs[j])
+        if best[1] >= 0:
+            yield t, best[1], best[2], float(best[0]), best[3]
 
 
 def _single_offer_loop(setup, arrivals, rng_seed, offer, ledger, on_sale=None):

@@ -168,7 +168,6 @@ def solve_primal(setup, arrivals):
         raise SolverLimitError("primal LP too large (%d variables, %d tableau cells)"
                                % (nv, cells))
 
-    # a deterministic customer buys with p = 1 every price up to their willingness
     if arrivals.kind == "deterministic":
         js = np.arange(prices.shape[1])
         probs = ((js >= 1) & (js <= np.asarray(arrivals.willing)[:, :, None])).astype(float)

@@ -21,7 +21,6 @@ from multiprice import (
     ValidationError,
     build_value_function,
     certified_lower_bounds,
-    lp_bound,
     run_balance,
     run_balance_assortment,
     run_balance_fractional,
@@ -430,8 +429,8 @@ def scalar_best_offer(row, value):
     """(p * value, item, price index) of the first strict maximum over the
     items in order, each item's prices from high to low; item -1 when no
     offer is worth making.  The single-offer scan as it was before the
-    probability table, kept verbatim as the reference for the vectorised
-    one."""
+    probability table, kept verbatim as the reference for the scan over the
+    table's rows."""
     best = (engine.POSITIVITY_EPS, -1, -1)
     for i, probs in enumerate(row):
         for j in range(len(probs), 0, -1):
@@ -525,7 +524,7 @@ class TestSingleOfferScan:
 
 
 class TestCheckedOnce:
-    """Each arrival kind's shape is checked once per sequence, on first use."""
+    """A single-offer sequence's shape is checked once, on first use."""
 
     @staticmethod
     def counted(prop, calls):
@@ -549,16 +548,6 @@ class TestCheckedOnce:
         assert table.tolist() == [[[0.0, 0.5, 0.25], [0.0, 1.0, 0.0]],
                                   [[0.0, 0.0, 1.0], [0.0, 0.5, 0.0]]]
         assert arrivals.T == 2
-
-    def test_assortment_types_checked_once(self):
-        setup, products, model = small_choice_setting()
-        arrivals = assortment_arrivals(model, products, [0, 1, 1, 0], [3.0, 2.0, 1.0, 0.0])
-        checks = []
-        with self.counted(ArrivalSequence._types, checks):
-            lp_bound(setup, arrivals)
-            run_balance_assortment(setup, arrivals, 0)
-            run_bidprice(setup, arrivals, 0, expected_total=4.0)
-        assert len(checks) == 1
 
 
 class TestPriceTableCache:
