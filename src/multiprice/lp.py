@@ -20,7 +20,9 @@ from .engine import check_products, validate
 from .errors import DomainError, SolverLimitError, as_int
 
 PIVOT_TOL = 1e-9
-# a pivot updates its touched rows in blocks of at most this many cells
+# a pivot updates a tableau of at most WHOLE_PIVOT_CELLS cells whole, and a
+# larger one in blocks of at most PIVOT_BLOCK_CELLS touched cells
+WHOLE_PIVOT_CELLS = 4_096
 PIVOT_BLOCK_CELLS = 16_384
 # the largest simplex tableau solve_primal builds, in cells of 8 bytes
 MAX_TABLEAU_CELLS = 10_000_000
@@ -48,16 +50,20 @@ def simplex_max(c, A, b, max_iter=None):
     max_iter, an integer >= 0, bounds the pivots (default
     50 (m + n) + 1000).
 
-    Each pivot updates only the block it can change: the rows whose
-    pivot-column entry exceeds 1e-14 in size, times the columns where the
-    scaled pivot row is nonzero and the right-hand side.  It gathers each
-    block of at most PIVOT_BLOCK_CELLS cells with one flat `take`,
-    subtracts the multipliers times the row's entries in place and
-    scatters it back.  A cell it writes gets the float a full-row update
-    gives it; a skipped cell would have had a zero subtracted, which can
-    only turn -0.0 into +0.0.  So the pivots, the right-hand side (x and
-    the objective) and the duals, whose slack columns hold no -0.0, are
-    the floats of a full-row update.
+    A pivot updates only the touched rows, those whose pivot-column entry
+    exceeds 1e-14 in size.  A tableau of at most WHOLE_PIVOT_CELLS cells,
+    such as a choice-LP master, is updated whole, by one subtraction of
+    the multipliers times the scaled pivot row masked by `where=` to the
+    touched rows: a touched row gets a full-row update's arithmetic, and
+    no other row is written.  A larger tableau updates only the touched
+    rows times the columns where the scaled pivot row is nonzero and the
+    right-hand side, gathering each block of at most PIVOT_BLOCK_CELLS
+    cells with one flat `take`, subtracting in place and scattering it
+    back.  A cell it writes gets the float a full-row update gives it; a
+    skipped cell would have had a zero subtracted, which can only turn
+    -0.0 into +0.0.  So on either path the pivots, the right-hand side (x
+    and the objective) and the duals, whose slack columns hold no -0.0,
+    are the floats of a full-row update.
     """
     try:
         A, b, c = (np.asarray(x, dtype=float) for x in (A, b, c))
@@ -89,6 +95,7 @@ def simplex_max(c, A, b, max_iter=None):
     # views into T, kept across pivots; one ratio buffer
     costs, rhs, ratios = T[m, :-1], T[:m, -1], np.empty(m)
     flat, width = T.reshape(-1), T.shape[1]
+    whole = T.size <= WHOLE_PIVOT_CELLS
 
     for it in range(max_iter + 1):  # max_iter pivots, then a last optimality check
         if it < bland_after:
@@ -118,22 +125,25 @@ def simplex_max(c, A, b, max_iter=None):
             leave = int(ties.argmax())
         row = T[leave]
         row /= T[leave, e]
-        # eliminate the pivot column from the rows where it is nonzero, in
-        # the columns where the pivot row is nonzero and the right-hand
-        # side, a block of rows at a time
-        keep = row != 0
-        keep[-1] = True
-        nz = keep.nonzero()[0]
+        # eliminate the pivot column from the rows where it is nonzero
         touched = np.abs(col) > 1e-14
         touched[leave] = False
-        rows = touched.nonzero()[0]
-        mult, row_nz = col.take(rows), row.take(nz)
-        step = max(1, PIVOT_BLOCK_CELLS // len(nz))
-        for s in range(0, len(rows), step):
-            idx = (rows[s : s + step] * width)[:, None] + nz
-            vals = flat.take(idx)
-            vals -= mult[s : s + step, None] * row_nz
-            flat[idx] = vals
+        if whole:
+            np.subtract(T, col[:, None] * row, out=T, where=touched[:, None])
+        else:
+            # only the columns where the pivot row is nonzero and the
+            # right-hand side, a block of rows at a time
+            keep = row != 0
+            keep[-1] = True
+            nz = keep.nonzero()[0]
+            rows = touched.nonzero()[0]
+            mult, row_nz = col.take(rows), row.take(nz)
+            step = max(1, PIVOT_BLOCK_CELLS // len(nz))
+            for s in range(0, len(rows), step):
+                idx = (rows[s : s + step] * width)[:, None] + nz
+                vals = flat.take(idx)
+                vals -= mult[s : s + step, None] * row_nz
+                flat[idx] = vals
         basis[leave] = e
 
     x = np.zeros(nv)

@@ -248,6 +248,16 @@ def simplex_outcome(fn, c, A, b, max_iter):
     return (obj.hex(), [float(v).hex() for v in x], [float(v).hex() for v in duals])
 
 
+def assert_both_paths_give(expected, *lp_args):
+    """simplex_max gives `expected` with every pivot on the block path (a
+    cut of 0) and at the default cut, which sends a tableau of at most
+    WHOLE_PIVOT_CELLS cells, such as every LP small_lps draws, down the
+    whole one."""
+    for whole_cells in (0, lp.WHOLE_PIVOT_CELLS):
+        with mock.patch.object(lp, "WHOLE_PIVOT_CELLS", whole_cells):
+            assert simplex_outcome(simplex_max, *lp_args) == expected
+
+
 # integer entries over mostly zero right-hand sides make degenerate ties
 # likely, under both pivot rules; 1e-13 sits between the elimination's zero
 # threshold and PIVOT_TOL
@@ -289,12 +299,16 @@ def small_lps(draw):
 @example(([1.0], [[1.0]], [1.0], 1))
 @example(([-1.0], [[1.0]], [1.0], 0))
 def test_simplex_bit_identical_to_reference(lp_args):
-    assert simplex_outcome(simplex_max, *lp_args) == simplex_outcome(reference_simplex_max, *lp_args)
+    assert_both_paths_give(simplex_outcome(reference_simplex_max, *lp_args), *lp_args)
 
 
 @pytest.mark.parametrize("lp_args", [
     ([1.0, -0.0], [[1.0, -1.0], [1.0, 1.0]], [-0.0, 0.0], None),
     ([1.0, -0.0], [[-1.0, 2.0], [2.0, -1.0]], [-0.0, 0.0], None),
+    # the first pivot leaves the second row untouched: it keeps its -0.0,
+    # which subtracting a zero multiplier times the pivot row's -0.0 would
+    # turn into the +0.0 that x then reads
+    ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-0.0, -0.0], None),
 ])
 def test_negative_zero_right_hand_side_matches_reference(lp_args):
     """Under a maximum that keeps -0.0 (IEEE leaves max(-0, +0) open), the
@@ -304,8 +318,7 @@ def test_negative_zero_right_hand_side_matches_reference(lp_args):
         return np.where(x >= y, x, y)
 
     with mock.patch.object(np, "maximum", keeps_negative_zero):
-        assert (simplex_outcome(simplex_max, *lp_args)
-                == simplex_outcome(reference_simplex_max, *lp_args))
+        assert_both_paths_give(simplex_outcome(reference_simplex_max, *lp_args), *lp_args)
 
 
 def lps_solved_by(solve, *args):
@@ -325,7 +338,8 @@ def workload_lps():
     """LPs of the sizes the program solves: the assignment LPs of nested
     k = 1 adversarial instances at n = 60 (120 rows, 1950 columns, about
     980 pivots, of which about 9% touch more than PIVOT_BLOCK_CELLS cells),
-    one at k = 3, and the choice-LP masters of one hotel day (12 rows)."""
+    one at k = 3, and the choice-LP masters of one hotel day (12 rows, at
+    most about 2,000 tableau cells)."""
     vf = build_value_function([1.0, 3.0])
     lps = []
     for n, k, seed in ((60, 1, 0), (60, 1, 1), (60, 1, 2), (20, 3, 0)):
@@ -343,8 +357,17 @@ def test_workload_size_lps_bit_identical_to_reference(block_cells, empty_memo):
     assert len(lps) > 4 and all(A.shape[0] == 12 for _, A, _ in lps[4:])
     with mock.patch.object(lp, "PIVOT_BLOCK_CELLS", block_cells):
         for c, A, b in lps:
-            assert (simplex_outcome(simplex_max, c, A, b, None)
-                    == simplex_outcome(reference_simplex_max, c, A, b, None))
+            assert_both_paths_give(simplex_outcome(reference_simplex_max, c, A, b, None),
+                                   c, A, b, None)
+
+
+def test_workload_lps_take_the_path_their_size_sets(empty_memo):
+    """The hotel masters are eliminated whole and the assignment LPs by
+    blocks; a change to the cut or to the LPs' sizes shows here."""
+    # simplex_max's tableau has m + 1 rows of n + m + 1 cells
+    cells = [(m + 1) * (n + m + 1) for m, n in (A.shape for _, A, _ in workload_lps())]
+    assert min(cells[:4]) > lp.WHOLE_PIVOT_CELLS
+    assert max(cells[4:]) <= lp.WHOLE_PIVOT_CELLS
 
 
 class TestPrimalLp:
