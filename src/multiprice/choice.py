@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DomainError, ValidationError, as_int
+from .errors import DomainError, ValidationError, as_int, as_real
 
 NEVER = float("-inf")
 
@@ -35,12 +34,11 @@ class MnlModel:
     utilities: tuple  # tuple per type, aligned with product indices
 
     def __post_init__(self):
-        object.__setattr__(self, "type_shares", tuple(self.type_shares))
+        object.__setattr__(self, "type_shares", tuple(
+            as_real(s, 0.0, "a type share", ValidationError) for s in self.type_shares))
         object.__setattr__(self, "u0", tuple(self.u0))
         object.__setattr__(self, "utilities", tuple(map(tuple, self.utilities)))
         object.__setattr__(self, "n_types", len(self.type_shares))  # an attribute, cheap to read
-        if not all(isinstance(s, numbers.Real) and 0.0 <= s < math.inf for s in self.type_shares):
-            raise ValidationError("type shares must be finite and >= 0")
         if abs(sum(self.type_shares) - 1.0) > 1e-12:
             raise ValidationError("type shares must sum to 1")
         if len(self.u0) != self.n_types or len(self.utilities) != self.n_types:

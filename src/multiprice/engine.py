@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .choice import MnlModel, choice_probs, expected_value, optimize_assortment, sample_choice
-from .errors import DomainError, MultipriceError, ValidationError, as_int
+from .errors import DomainError, MultipriceError, ValidationError, as_int, as_real
 from .perturb import build_perturbed, rounding_classes
 from .streams import item_uniforms
 from .valuefn import PriceSet, build_value_function
@@ -68,6 +68,8 @@ class Item:
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_int(self.k, 1, "inventory", ValidationError))
+        if not isinstance(self.priceset, PriceSet):
+            raise ValidationError("priceset must be a PriceSet, got %r" % (self.priceset,))
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,12 @@ class Setup:
     items: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if len(self.items) < 1:
+        items = tuple(self.items) if isinstance(self.items, Iterable) else (self.items,)
+        object.__setattr__(self, "items", items)
+        if len(items) < 1:
             raise ValidationError("need at least one item")
+        if not all(isinstance(it, Item) for it in items):
+            raise ValidationError("every item must be an Item, got %r" % (items,))
 
     @property
     def n(self):
@@ -207,12 +212,30 @@ class ArrivalSequence:
         """probs as one read-only T x n x (m_max + 1) array laid out like Setup.price_table."""
         return self._offered[0]
 
+    @functools.cached_property
+    def _typed(self):
+        """The types as an array on first use: DomainError unless model is an MnlModel,
+        the types are among its types and days_out holds one finite lead time each."""
+        try:
+            types = np.asarray(self.types)
+            days = None if self.days_out is None else np.asarray(self.days_out)
+        except ValueError:  # ragged
+            raise DomainError("types and days_out must be flat sequences") from None
+        if not isinstance(self.model, MnlModel) or types.size and (
+                types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
+                or types.max() >= self.model.n_types):
+            raise DomainError("customer types must be integers among an MnlModel's types")
+        if days is not None and (days.shape != types.shape or days.dtype.kind not in "iuf"
+                                 or not np.isfinite(days).all()):
+            raise DomainError("days_out needs one finite lead time per customer")
+        return types
+
     @property
     def T(self):
         if self.kind == "deterministic":
             return int(self.runs[1].sum())
         if self.kind == "assortment":
-            return len(self.types)
+            return len(self._typed)
         return len(self.prob_table)
 
 
@@ -257,18 +280,7 @@ def validate(setup, arrivals, policy, *kinds):
             raise DomainError(_OUT_OF_RANGE)
     elif arrivals.kind == "assortment":
         check_products(setup, arrivals.products)
-        try:
-            types = np.asarray(arrivals.types)
-            days = None if arrivals.days_out is None else np.asarray(arrivals.days_out)
-        except ValueError:  # ragged
-            raise DomainError("types and days_out must be flat sequences") from None
-        if not isinstance(arrivals.model, MnlModel) or types.size and (
-                types.ndim != 1 or types.dtype.kind not in "iu" or types.min() < 0
-                or types.max() >= arrivals.model.n_types):
-            raise DomainError("customer types must be integers among an MnlModel's types")
-        if days is not None and (days.shape != types.shape or days.dtype.kind not in "iuf"
-                                 or not np.isfinite(days).all()):
-            raise DomainError("days_out needs one finite lead time per customer")
+        arrivals._typed  # checked once per sequence
     elif arrivals.T and not np.array_equal(arrivals._offered[2], setup.ms):  # single-offer
         raise DomainError(_BAD_PROBS)
 
@@ -649,24 +661,16 @@ def _forecast_counts(mode, model, arrivals, t, expected_total):
     return [remaining * s for s in shares]
 
 
-def _check_forecast(mode, expected_total):
-    """Raise DomainError unless mode is a forecasting mode and, in every
-    mode but clairvoyant, expected_total is a finite number >= 0."""
-    if mode not in FORECAST_MODES:
-        raise DomainError("unknown mode %r" % (mode,))
-    if mode != "clairvoyant" and not (isinstance(expected_total, numbers.Real)
-                                      and 0.0 <= expected_total < math.inf):
-        raise DomainError("forecasting mode %r needs an expected_total, a finite number "
-                          ">= 0, got %r" % (mode, expected_total))
-
-
 class _BidPriceOffer(_Offer):
     """Fare minus the item's bid price, its dual in the choice LP over the
     forecast remaining demand and the remaining inventory, solved at t = 0
     and, unless the mode is one_shot, every resolve_every arrivals."""
 
     def __init__(self, setup, arrivals, ledger, mode, resolve_every, expected_total):
-        _check_forecast(mode, expected_total)
+        if mode not in FORECAST_MODES:
+            raise DomainError("unknown mode %r" % (mode,))
+        if mode != "clairvoyant":
+            as_real(expected_total, 0.0, "expected_total")
         super().__init__(setup.price_table, operator.sub, state=np.zeros(setup.n))
         self.mode, self.every = mode, as_int(resolve_every, 1, "resolve_every")
         self.context = (setup, arrivals, ledger, expected_total)
@@ -707,18 +711,13 @@ def run_bidprice(setup, arrivals, rng_seed, mode="resolving", resolve_every=100,
     return ledger.result(meta={"lp_solves": offer.solves})
 
 
-def _check_gamma(gamma):
-    if not (isinstance(gamma, numbers.Real) and 1.0 < gamma < math.inf):
-        raise DomainError("gamma must exceed 1 and be finite")
-
-
 def run_hybrid(setup, arrivals, rng_seed, gamma=1.5, resolve_every=100, expected_total=None):
     """Follow the resolving forecast's assortment unless its pseudorevenue
     (under the deterministic value functions) falls below 1/gamma of the
     best achievable, in which case offer the pseudorevenue maximizer."""
     validate(setup, arrivals, "hybrid", "assortment")
     as_int(rng_seed, 0, "rng_seed")
-    _check_gamma(gamma)
+    as_real(gamma, 1.0, "gamma", strict=True)
     ledger = Ledger(setup)
     forecast_offer = _BidPriceOffer(setup, arrivals, ledger, "resolving", resolve_every,
                                     expected_total)
@@ -751,6 +750,7 @@ POLICIES = {
     "myopic": run_myopic,
     "conservative": run_conservative,
     "gnr": run_gnr,
+    "balance_fractional": run_balance_fractional,
     "balance_assortment": run_balance_assortment,
 }
 
@@ -761,8 +761,8 @@ def hotel_policies(expected_total, gamma):
     hybrid.  Its runners are looked up when this is called, not at import,
     so a wrapper put on them in the meantime is the one the suite calls.
     A bad expected_total or gamma is refused here, before any run."""
-    _check_forecast("resolving", expected_total)
-    _check_gamma(gamma)
+    as_real(expected_total, 0.0, "expected_total")
+    as_real(gamma, 1.0, "gamma", strict=True)
     return (
         ("myopic", POLICIES["myopic"]),
         ("gnr", POLICIES["gnr"]),

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and its one integer rule."""
+"""Exception hierarchy shared across the package, and its integer and real rules."""
 
+import math
 import numbers
 
 
@@ -34,3 +35,17 @@ def as_int(x, least, name, error=DomainError):
     if not integer or x < least:
         raise error("%s must be an integer >= %d, got %r" % (name, least, x))
     return int(x)
+
+
+def as_real(x, least, name, error=DomainError, strict=False):
+    """x as a Python float: raises `error` unless x is a finite real number of
+    at least `least`, or above it if `strict`, numpy scalars included, bools not."""
+    real = type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+    try:
+        y = float(x) if real else math.nan
+    except OverflowError:  # an integer past the largest float
+        y = math.nan
+    if not ((y > least if strict else y >= least) and abs(y) < math.inf):
+        raise error("%s must be a finite number %s %r, got %r"
+                    % (name, ">" if strict else ">=", least, x))
+    return y

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .choice import default_hotel_model
 from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types, interpolate, validate
-from .errors import SolverLimitError, ValidationError, as_int
+from .errors import SolverLimitError, ValidationError, as_int, as_real
 from .lp import solve_choice_lp
 from .valuefn import PriceSet
 
@@ -62,12 +60,12 @@ class ExperimentConfig:
         for name, least in (("trials", 1), ("n_days", 1), ("base_seed", 0)):
             object.__setattr__(self, name, as_int(getattr(self, name), least, name,
                                                   ValidationError))
-        if not (isinstance(self.mean_daily_arrivals, numbers.Real)
-                and 0 <= self.mean_daily_arrivals < math.inf):
-            raise ValidationError("mean daily arrivals must be finite and >= 0")
-        if not (self.loading_factors and all(isinstance(lf, numbers.Real) and 0 < lf < math.inf
-                                             for lf in self.loading_factors)):
-            raise ValidationError("need one or more loading factors, all positive and finite")
+        object.__setattr__(self, "mean_daily_arrivals", as_real(
+            self.mean_daily_arrivals, 0.0, "mean daily arrivals", ValidationError))
+        object.__setattr__(self, "loading_factors", tuple(as_real(
+            f, 0.0, "loading factor", ValidationError, strict=True) for f in self.loading_factors))
+        if not self.loading_factors:
+            raise ValidationError("need one or more loading factors")
         if self.mean_daily_arrivals > MAX_DAY_SIZE * min(1.0, *self.loading_factors):
             raise SolverLimitError("a day of more than %d arrivals or units" % MAX_DAY_SIZE)
 

@@ -8,8 +8,6 @@ on demand by the single-shot assortment oracle.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -17,7 +15,7 @@ import numpy as np
 
 from .choice import choice_probs, optimize_assortment
 from .engine import check_products, validate
-from .errors import DomainError, SolverLimitError, as_int
+from .errors import DomainError, SolverLimitError, as_int, as_real
 
 PIVOT_TOL = 1e-9
 # a pivot updates a tableau of at most WHOLE_PIVOT_CELLS cells whole, and a
@@ -260,8 +258,8 @@ def _check_amounts(amounts, n, name):
     """Raise DomainError unless amounts holds n finite real numbers >= 0."""
     if len(amounts) != n:
         raise DomainError("%s needs %d entries, got %d" % (name, n, len(amounts)))
-    if not all(isinstance(x, numbers.Real) and 0.0 <= x < math.inf for x in amounts):
-        raise DomainError("%s must be finite numbers >= 0, got %r" % (name, amounts))
+    for x in amounts:
+        as_real(x, 0.0, "each of the " + name)
 
 
 class _Master:

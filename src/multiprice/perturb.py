@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, SolverLimitError, ValidationError, as_int
+from .errors import DomainError, SolverLimitError, ValidationError, as_int, as_real
 from .valuefn import PriceSet
 
 # fractional parts this close to an integer are treated as exact multiples
@@ -69,7 +69,7 @@ def round_borders(vf, k, w_seed):
     moves up to (floor(L(j) k) + 1)/k exactly when the shared seed falls
     below its fractional part, else down.  Exact multiples never move."""
     k = as_int(k, 1, "k")
-    if not 0.0 <= w_seed < 1.0:
+    if as_real(w_seed, 0.0, "seed") >= 1.0:
         raise DomainError("seed must lie in [0, 1)")
     out = [(fl + (w_seed < frac)) / k for fl, frac in _floor_frac(vf.borders, k)]
     out[0] = 0.0
@@ -190,8 +190,7 @@ def verify_conditions(proc, c):
     carries the minimum slack of each condition (negative slack = violated).
     """
     priceset, k = proc.priceset, proc.k
-    if not 0.0 < c < math.inf:
-        raise DomainError("c must be positive and finite")
+    c = as_real(c, 0.0, "c", strict=True)
     m = priceset.m
     tol = REL_TOL * priceset.price(m)
 

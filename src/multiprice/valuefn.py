@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InvalidPriceSet, InvalidRange
+from .errors import DomainError, InvalidPriceSet, InvalidRange, as_real
 
 # w values this close to a segment border are snapped onto it
 BORDER_SNAP = 1e-15
@@ -35,14 +36,15 @@ class PriceSet:
     prices: tuple
 
     def __init__(self, prices):
-        object.__setattr__(self, "prices", tuple(float(r) for r in prices))
+        if not (isinstance(prices, Sequence) or getattr(prices, "ndim", None) == 1):
+            raise InvalidPriceSet("prices must be a sequence of numbers, got %r" % (prices,))
+        object.__setattr__(self, "prices", tuple(
+            as_real(r, 0.0, "a price", InvalidPriceSet, strict=True) for r in prices))
         self._validate()
 
     def _validate(self):
         if len(self.prices) < 1:
             raise InvalidPriceSet("need at least one price")
-        if not (self.prices[0] > 0.0 and self.prices[-1] < math.inf):
-            raise InvalidPriceSet("prices must be strictly positive and finite")
         for lo, hi in zip(self.prices, self.prices[1:]):
             if not hi > lo:
                 raise InvalidPriceSet(
@@ -162,12 +164,13 @@ class ValueFunction:
 
 
 def build_value_function(prices):
-    """The value function of a price list or PriceSet, the one way into this
-    layer.  Memoized on the price tuple, which hashes faster than a PriceSet,
-    as items and runs share a few price sets."""
-    if isinstance(prices, PriceSet):
-        return _value_function(prices.prices)
-    return _value_function(tuple(prices))
+    """The value function of a price list, checked as a PriceSet, or of a
+    PriceSet, the one way into this layer.  Memoized on the price tuple,
+    which hashes faster than a PriceSet, as items and runs share a few
+    price sets."""
+    if not isinstance(prices, PriceSet):
+        prices = PriceSet(prices)
+    return _value_function(prices.prices)
 
 
 @lru_cache(maxsize=4096)
@@ -193,8 +196,7 @@ def _value_function(prices):
 
 def two_price_F(xi):
     """Closed-form competitive ratio of a two-price set {r, xi*r}."""
-    if not xi > 1.0:
-        raise InvalidRange("xi must exceed 1")
+    xi = as_real(xi, 1.0, "xi", InvalidRange, strict=True)
     return 1.0 - (math.sqrt(1.0 + 4.0 * xi * (xi - 1.0) / math.e) - 1.0) / (
         2.0 * (xi - 1.0)
     )
@@ -203,8 +205,7 @@ def two_price_F(xi):
 def lambert_w(x):
     """Principal branch of the Lambert W function for x >= 0, by Halley
     iteration seeded at log(1 + x)."""
-    if x < 0.0:
-        raise DomainError("lambert_w requires x >= 0")
+    x = as_real(x, 0.0, "lambert_w's x")
     if x == 0.0:
         return 0.0
     w = math.log1p(x)
@@ -244,13 +245,13 @@ class ContinuumValueFunction:
 def build_continuum(r_min, r_max):
     """Continuum-price value function.  The booking limit solves
     1 - e^{-alpha} = (1 - alpha)/R and equals W(R e^{R-1}) - R + 1."""
-    if not (0.0 < r_min < r_max):
-        raise InvalidRange("need 0 < r_min < r_max")
+    r_min = as_real(r_min, 0.0, "r_min", InvalidRange, strict=True)
+    r_max = as_real(r_max, r_min, "r_max", InvalidRange, strict=True)
     R = math.log(r_max / r_min)
     alpha = lambert_w(R * math.exp(R - 1.0)) - R + 1.0
     return ContinuumValueFunction(
-        r_min=float(r_min),
-        r_max=float(r_max),
+        r_min=r_min,
+        r_max=r_max,
         alpha=alpha,
         F=-math.expm1(-alpha),
         R=R,

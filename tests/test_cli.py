@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from multiprice import harness
+from multiprice import ArrivalSequence, Item, PriceSet, Setup, harness, run_balance_fractional
 from multiprice.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, build_parser, main
 from multiprice.perturb import MAX_GRID_POINTS
 from multiprice.harness import CSV_SCHEMA_HEADER
@@ -154,6 +154,30 @@ class TestSimulateAndLpBound:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == EXIT_VALIDATION
 
+    def test_simulate_fluid_balance(self, tmp_path, capsys):
+        # fluid balance is in the registry: simulate runs it over
+        # single-offer arrivals, with the LP bound above its revenue, and
+        # refuses deterministic ones
+        raw = {"setup": {"items": [{"k": 1, "prices": [10.0, 20.0]}]},
+               "arrivals": {"kind": "single_offer", "probs": [[[0.5, 0.25]], [[1.0, 0.5]]]},
+               "policies": ["balance_fractional"]}
+        path = tmp_path / "fluid.json"
+        path.write_text(json.dumps(raw))
+        code, out, _ = run_cli(capsys, "--trials", "2", "simulate", "--config", str(path))
+        assert code == EXIT_OK
+        rows = read_csv_text(out)
+        setup = Setup(items=(Item(k=1, priceset=PriceSet([10.0, 20.0])),))
+        arrivals = ArrivalSequence(kind="single_offer", probs=raw["arrivals"]["probs"])
+        revenue = run_balance_fractional(setup, arrivals, 0).revenue
+        assert [(r["policy"], float(r["revenue"])) for r in rows] == \
+            [("balance_fractional", revenue)] * 2
+        assert all(0.0 < float(r["ratio_vs_lp"]) <= 1.0 + 1e-9 for r in rows)
+        raw["arrivals"] = {"kind": "deterministic", "willing": [[2], [1]]}
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("error: balance_fractional takes single_offer arrivals")
+
     def test_lp_bound(self, tmp_path, capsys):
         path = instance_file(tmp_path, [[2, 1], [2, 1], [2, 1]])
         code, out, _ = run_cli(capsys, "lp-bound", "--instance", str(path))
@@ -208,6 +232,12 @@ BAD_INSTANCES = {
     "no-items": json.dumps({"setup": {}, "arrivals": {"kind": "deterministic",
                                                       "willing": [[1]]}}),
     "bad-prices": deterministic_text([[1]], {"k": 1, "prices": ["a"]}),
+    # a string of digits is a sequence, but of strings, not the prices 1 and 2
+    "string-prices": deterministic_text([[1]], {"k": 1, "prices": "12"}),
+    "bool-prices": deterministic_text([[1]], {"k": 1, "prices": [True, 2.0]}),
+    "number-prices": deterministic_text([[1]], {"k": 1, "prices": 5}),
+    "number-item": json.dumps({"setup": {"items": [5]}, "arrivals": {"kind": "deterministic",
+                                                                     "willing": [[1]]}}),
     "bad-json": '{"setup": ',
     "missing-file": None,
 }

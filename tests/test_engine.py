@@ -73,6 +73,17 @@ class TestBasics:
         with pytest.raises(ValidationError):
             ArrivalSequence(kind="bogus")
 
+    @pytest.mark.parametrize("priceset", [[1.0, 2.0], (1.0,), None, build_value_function([1.0])])
+    def test_item_needs_a_priceset(self, priceset):
+        with pytest.raises(ValidationError, match="^priceset must be a PriceSet"):
+            Item(k=1, priceset=priceset)
+
+    @pytest.mark.parametrize("items", [5, None, [5], (Item(k=1, priceset=PriceSet([1.0])), "x"),
+                                       [PriceSet([1.0])]])
+    def test_setup_needs_items(self, items):
+        with pytest.raises(ValidationError, match="^every item must be an Item"):
+            Setup(items=items)
+
     @pytest.mark.parametrize("k", [1.5, 2.0, True, np.bool_(True), "2", None])
     def test_item_rejects_non_integral_inventory(self, k):
         with pytest.raises(ValidationError):
@@ -524,7 +535,7 @@ class TestSingleOfferScan:
 
 
 class TestCheckedOnce:
-    """A single-offer sequence's shape is checked once, on first use."""
+    """A single-offer or assortment sequence is checked once, on first use."""
 
     @staticmethod
     def counted(prop, calls):
@@ -548,6 +559,20 @@ class TestCheckedOnce:
         assert table.tolist() == [[[0.0, 0.5, 0.25], [0.0, 1.0, 0.0]],
                                   [[0.0, 0.0, 1.0], [0.0, 0.5, 0.0]]]
         assert arrivals.T == 2
+
+    def test_assortment_types_checked_once(self):
+        setup, products, model = small_choice_setting()
+        arrivals = assortment_arrivals(model, products, [0, 1, 1, 0], days_out=[3, 2.5, 1, 0])
+        checks = []
+        with self.counted(ArrivalSequence._typed, checks):
+            for seed in range(2):
+                for fn in (run_myopic, run_balance_assortment):
+                    fn(setup, arrivals, seed)
+                run_bidprice(setup, arrivals, seed, resolve_every=2, expected_total=4.0)
+                run_hybrid(setup, arrivals, seed, expected_total=4.0)
+            assert arrivals.T == 4
+        assert len(checks) == 1
+        assert arrivals._typed.tolist() == [0, 1, 1, 0]
 
 
 class TestPriceTableCache:

@@ -260,10 +260,17 @@ def assert_both_paths_give(expected, *lp_args):
 
 # integer entries over mostly zero right-hand sides make degenerate ties
 # likely, under both pivot rules; 1e-13 sits between the elimination's zero
-# threshold and PIVOT_TOL
+# threshold and PIVOT_TOL.  Right-hand sides may start at -0.0, which the
+# property keeps under keeps_negative_zero
 _TIED = (st.sampled_from([-1.0, 0.0, 1.0, 1.0, 2.0, 1e-13]),
-         st.sampled_from([0.0, 0.0, 1.0]), st.sampled_from([0.0, 1.0, 2.0, 3.0]))
-_SPREAD = (st.floats(-4.0, 4.0), st.floats(0.0, 5.0), st.floats(-3.0, 5.0))
+         st.sampled_from([0.0, -0.0, 0.0, 1.0]), st.sampled_from([0.0, 1.0, 2.0, 3.0]))
+_SPREAD = (st.floats(-4.0, 4.0), st.floats(-0.0, 5.0), st.floats(-3.0, 5.0))
+
+
+def keeps_negative_zero(x, y):
+    """np.maximum, but keeping x's -0.0 against y's +0.0 (IEEE leaves
+    max(-0, +0) open), so that a -0.0 right-hand side reaches the solve."""
+    return np.where(x >= y, x, y)
 
 
 @st.composite
@@ -299,7 +306,8 @@ def small_lps(draw):
 @example(([1.0], [[1.0]], [1.0], 1))
 @example(([-1.0], [[1.0]], [1.0], 0))
 def test_simplex_bit_identical_to_reference(lp_args):
-    assert_both_paths_give(simplex_outcome(reference_simplex_max, *lp_args), *lp_args)
+    with mock.patch.object(np, "maximum", keeps_negative_zero):
+        assert_both_paths_give(simplex_outcome(reference_simplex_max, *lp_args), *lp_args)
 
 
 @pytest.mark.parametrize("lp_args", [
@@ -311,12 +319,8 @@ def test_simplex_bit_identical_to_reference(lp_args):
     ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-0.0, -0.0], None),
 ])
 def test_negative_zero_right_hand_side_matches_reference(lp_args):
-    """Under a maximum that keeps -0.0 (IEEE leaves max(-0, +0) open), the
-    right-hand side starts with a -0.0, and the solve still gives the
-    reference's floats."""
-    def keeps_negative_zero(x, y):
-        return np.where(x >= y, x, y)
-
+    """Under a maximum that keeps -0.0, the right-hand side starts with a
+    -0.0, and the solve still gives the reference's floats."""
     with mock.patch.object(np, "maximum", keeps_negative_zero):
         assert_both_paths_give(simplex_outcome(reference_simplex_max, *lp_args), *lp_args)
 

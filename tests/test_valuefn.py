@@ -56,6 +56,20 @@ class TestPriceSet:
         with pytest.raises(InvalidPriceSet):
             PriceSet([])
 
+    @pytest.mark.parametrize("prices", [5, None, 2.5, {1.0, 3.0}, np.array(2.0), "12",
+                                        ["1", "3"], [True, 2.0], [[1.0], [3.0]]])
+    def test_rejects_what_is_not_a_sequence_of_numbers(self, prices):
+        # "12" is a sequence, but of strings, which are not prices
+        with pytest.raises(InvalidPriceSet):
+            PriceSet(prices)
+        with pytest.raises(InvalidPriceSet):
+            build_value_function(prices)
+
+    def test_takes_a_numpy_price_array(self):
+        for prices in (np.array([1.0, 3.0]), np.array([1, 3]), range(1, 4, 2)):
+            assert PriceSet(prices).prices == (1.0, 3.0)
+            assert build_value_function(prices) is build_value_function([1.0, 3.0])
+
     def test_implicit_zero_price(self):
         ps = PriceSet([5.0, 7.0])
         assert ps.price(0) == 0.0
