@@ -57,9 +57,10 @@ class TestPriceSet:
             PriceSet([])
 
     @pytest.mark.parametrize("prices", [5, None, 2.5, {1.0, 3.0}, np.array(2.0), "12",
-                                        ["1", "3"], [True, 2.0], [[1.0], [3.0]]])
+                                        [[1.0], [3.0]]])
     def test_rejects_what_is_not_a_sequence_of_numbers(self, prices):
-        # "12" is a sequence, but of strings, which are not prices
+        # "12" is a sequence, but of strings, which are not prices; single
+        # prices that are not numbers are in tests/test_errors.py
         with pytest.raises(InvalidPriceSet):
             PriceSet(prices)
         with pytest.raises(InvalidPriceSet):
