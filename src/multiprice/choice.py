@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DomainError, ValidationError, as_int, as_real
+from .errors import DomainError, ValidationError, as_int, as_real, as_tuple
 
 NEVER = float("-inf")
 
@@ -35,9 +35,12 @@ class MnlModel:
 
     def __post_init__(self):
         object.__setattr__(self, "type_shares", tuple(
-            as_real(s, 0.0, "a type share", ValidationError) for s in self.type_shares))
-        object.__setattr__(self, "u0", tuple(self.u0))
-        object.__setattr__(self, "utilities", tuple(map(tuple, self.utilities)))
+            as_real(s, 0.0, "a type share", ValidationError)
+            for s in as_tuple(self.type_shares, "type_shares", ValidationError)))
+        object.__setattr__(self, "u0", as_tuple(self.u0, "u0", ValidationError))
+        object.__setattr__(self, "utilities", tuple(
+            as_tuple(row, "a utility row", ValidationError)
+            for row in as_tuple(self.utilities, "utilities", ValidationError)))
         object.__setattr__(self, "n_types", len(self.type_shares))  # an attribute, cheap to read
         if abs(sum(self.type_shares) - 1.0) > 1e-12:
             raise ValidationError("type shares must sum to 1")

@@ -49,3 +49,14 @@ def as_real(x, least, name, error=DomainError, strict=False):
         raise error("%s must be a finite number %s %r, got %r"
                     % (name, ">" if strict else ">=", least, x))
     return y
+
+
+def as_tuple(xs, name, error=DomainError):
+    """xs as a tuple: raises `error` unless xs is an iterable, a string not,
+    so that a single number given for a sequence is refused."""
+    if not isinstance(xs, str):
+        try:
+            return tuple(xs)
+        except TypeError:
+            pass
+    raise error("%s must be a sequence, got %r" % (name, xs))

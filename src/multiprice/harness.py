@@ -17,7 +17,7 @@ import numpy as np
 
 from .choice import default_hotel_model
 from .engine import BOOKING_CURVE, ArrivalSequence, Item, Setup, count_types, interpolate, validate
-from .errors import SolverLimitError, ValidationError, as_int, as_real
+from .errors import SolverLimitError, ValidationError, as_int, as_real, as_tuple
 from .lp import solve_choice_lp
 from .valuefn import PriceSet
 
@@ -62,8 +62,12 @@ class ExperimentConfig:
                                                   ValidationError))
         object.__setattr__(self, "mean_daily_arrivals", as_real(
             self.mean_daily_arrivals, 0.0, "mean daily arrivals", ValidationError))
-        object.__setattr__(self, "loading_factors", tuple(as_real(
-            f, 0.0, "loading factor", ValidationError, strict=True) for f in self.loading_factors))
+        object.__setattr__(self, "loading_factors", tuple(
+            as_real(f, 0.0, "loading factor", ValidationError, strict=True)
+            for f in as_tuple(self.loading_factors, "loading factors", ValidationError)))
+        if not isinstance(self.fare_diff, (bool, np.bool_)):
+            raise ValidationError("fare_diff must be a bool, got %r" % (self.fare_diff,))
+        object.__setattr__(self, "fare_diff", bool(self.fare_diff))
         if not self.loading_factors:
             raise ValidationError("need one or more loading factors")
         if self.mean_daily_arrivals > MAX_DAY_SIZE * min(1.0, *self.loading_factors):

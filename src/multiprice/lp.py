@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import inf, isnan, nan
 
 import numpy as np
 
 from .choice import choice_probs, optimize_assortment
 from .engine import check_products, validate
-from .errors import DomainError, SolverLimitError, as_int, as_real
+from .errors import DomainError, SolverLimitError, as_int, as_real, as_tuple
 
 PIVOT_TOL = 1e-9
 # a pivot updates a tableau of at most WHOLE_PIVOT_CELLS cells whole, and a
@@ -44,24 +45,39 @@ def simplex_max(c, A, b, max_iter=None):
 
     Dense tableau, slack starting basis, largest-coefficient pivoting with
     a switch to Bland's rule to break potential cycling.  Returns
-    (objective, x, duals).  Degenerate ties go to the lowest row index.
-    max_iter, an integer >= 0, bounds the pivots (default
-    50 (m + n) + 1000).
+    (objective, x, duals), and (0.0, [], []) as arrays for the LP with no
+    variables and no constraints.  max_iter, an integer >= 0 under
+    errors.as_int, bounds the pivots (default 50 (m + n) + 1000); a last
+    optimality check follows them.
+
+    The ratio test reads a row whose pivot-column entry is not above
+    PIVOT_TOL as inf and takes the first least ratio; the first row within
+    1e-12 of it leaves, or under Bland's rule the tied row whose basic
+    variable has the lowest index.  On a tableau of at most
+    WHOLE_PIVOT_CELLS cells, such as a choice-LP master, it reads the pivot
+    column and the right-hand side once each with tolist() and scans them
+    in Python, which costs less there than numpy's calls; a larger tableau
+    runs it in numpy.  Both give the same row: Python's / is numpy's IEEE
+    division, a positive entry whose ratio overflows to inf ties with the
+    rows read as inf, and on a tableau overflowed to NaN a NaN ratio is
+    the least, as numpy's argmin takes it.
 
     A pivot updates only the touched rows, those whose pivot-column entry
-    exceeds 1e-14 in size.  A tableau of at most WHOLE_PIVOT_CELLS cells,
-    such as a choice-LP master, is updated whole, by one subtraction of
-    the multipliers times the scaled pivot row masked by `where=` to the
-    touched rows: a touched row gets a full-row update's arithmetic, and
-    no other row is written.  A larger tableau updates only the touched
-    rows times the columns where the scaled pivot row is nonzero and the
-    right-hand side, gathering each block of at most PIVOT_BLOCK_CELLS
-    cells with one flat `take`, subtracting in place and scattering it
-    back.  A cell it writes gets the float a full-row update gives it; a
-    skipped cell would have had a zero subtracted, which can only turn
-    -0.0 into +0.0.  So on either path the pivots, the right-hand side (x
-    and the objective) and the duals, whose slack columns hold no -0.0,
-    are the floats of a full-row update.
+    exceeds 1e-14 in size.  A tableau of at most WHOLE_PIVOT_CELLS cells
+    is updated whole, by one subtraction of the multipliers times the
+    scaled pivot row masked by `where=` to the touched rows: a touched row
+    gets a full-row update's arithmetic, and no other row is written.  A
+    larger tableau, such as the 121 x 2071 one of the n = 60 adversarial
+    instance, updates only the touched rows times the columns where the
+    scaled pivot row is nonzero and the right-hand side, gathering each
+    block of at most PIVOT_BLOCK_CELLS cells with one flat `take`,
+    subtracting in place and scattering it back.  A cell it writes gets
+    the float a full-row update gives it; a skipped cell would have had a
+    zero subtracted, which can only turn -0.0 into +0.0.  So on either
+    path the pivots, the right-hand side (x and the objective) and the
+    duals, whose slack columns hold no -0.0, are the floats of a full-row
+    update.  The cut sits where the two updates cost the same on k = 1
+    adversarial assignment LPs.
     """
     try:
         A, b, c = (np.asarray(x, dtype=float) for x in (A, b, c))
@@ -71,7 +87,7 @@ def simplex_max(c, A, b, max_iter=None):
         raise DomainError("simplex_max needs A of shape (m, n), b of m and c of n entries, "
                           "got shapes %s, %s and %s" % (A.shape, b.shape, c.shape))
     m, nv = A.shape
-    if np.any(b < -PIVOT_TOL):
+    if (b < -PIVOT_TOL).any():
         raise DomainError("simplex_max requires b >= 0")
     b = np.maximum(b, 0.0)
     if max_iter is None:
@@ -84,7 +100,7 @@ def simplex_max(c, A, b, max_iter=None):
     # tableau: [A | I | b] with objective row [-c | 0 | 0] on top of it
     T = np.zeros((m + 1, nv + m + 1))
     T[:m, :nv] = A
-    T[:m, nv : nv + m] = np.eye(m)
+    np.fill_diagonal(T[:m, nv : nv + m], 1.0)
     T[:m, -1] = b
     T[m, :nv] = -c
     if not np.isfinite(T).all():  # one pass over A, b and c together
@@ -108,21 +124,42 @@ def simplex_max(c, A, b, max_iter=None):
         if it == max_iter:
             raise SolverLimitError("simplex iteration limit reached")
         col = T[:, e]
-        pos = col[:m] > PIVOT_TOL
-        ratios.fill(np.inf)
-        np.divide(rhs, col[:m], out=ratios, where=pos)
-        least = ratios[ratios.argmin()] if m else np.inf
-        if least == np.inf and not pos.any():
-            raise SolverLimitError("unbounded LP")
-        ties = ratios <= least + 1e-12
-        if it >= bland_after:
-            # Bland: leave the row whose basic variable has lowest index
-            cand = np.flatnonzero(ties)
-            leave = int(min(cand, key=lambda r: basis[r]))
+        if whole:
+            # the same ratio test on Python floats, each column read once
+            colv = col.tolist()
+            ratio = [v / a if a > PIVOT_TOL else inf for v, a in zip(rhs.tolist(), colv)]
+            least = min(ratio) if m else inf
+            if isnan(sum(ratio)) and any(map(isnan, ratio)):  # as argmin, the first NaN
+                least = nan
+            if least == inf and not any(a > PIVOT_TOL for a in colv[:m]):
+                raise SolverLimitError("unbounded LP")
+            cut = least + 1e-12
+            if it >= bland_after:
+                leave = min((r for r, q in enumerate(ratio) if q <= cut), key=basis.__getitem__)
+            else:
+                leave = 0  # as argmax, when a NaN least leaves no tie
+                for r, q in enumerate(ratio):
+                    if q <= cut:
+                        leave = r
+                        break
+            pivot = colv[leave]
         else:
-            leave = int(ties.argmax())
+            pos = col[:m] > PIVOT_TOL
+            ratios.fill(np.inf)
+            np.divide(rhs, col[:m], out=ratios, where=pos)
+            least = ratios[ratios.argmin()] if m else np.inf
+            if least == np.inf and not pos.any():
+                raise SolverLimitError("unbounded LP")
+            ties = ratios <= least + 1e-12
+            if it >= bland_after:
+                # Bland: leave the row whose basic variable has lowest index
+                cand = np.flatnonzero(ties)
+                leave = int(min(cand, key=lambda r: basis[r]))
+            else:
+                leave = int(ties.argmax())
+            pivot = T[leave, e]
         row = T[leave]
-        row /= T[leave, e]
+        row /= pivot
         # eliminate the pivot column from the rows where it is nonzero
         touched = np.abs(col) > 1e-14
         touched[leave] = False
@@ -145,9 +182,9 @@ def simplex_max(c, A, b, max_iter=None):
         basis[leave] = e
 
     x = np.zeros(nv)
-    for r, v in enumerate(basis):
+    for v, xv in zip(basis, rhs.tolist()):
         if v < nv:
-            x[v] = T[r, -1]
+            x[v] = xv
     duals = T[m, nv : nv + m].copy()
     return float(T[m, -1]), x, duals
 
@@ -230,13 +267,14 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None, pool=N
     given, with the columns that solve generated.
     """
     check_products(setup, products)
-    caps = tuple(it.k for it in setup.items) if capacities is None else tuple(capacities)
+    caps = (tuple(it.k for it in setup.items) if capacities is None
+            else as_tuple(capacities, "capacities"))
+    type_counts = as_tuple(type_counts, "type counts")
     _check_amounts(caps, setup.n, "capacities")
     _check_amounts(type_counts, model.n_types, "type counts")
     if pool:
         return _column_generation(setup, type_counts, model, products, caps, pool)
-    sol, cols = _fresh_solve(setup, tuple(type_counts), model, tuple(map(tuple, products)),
-                             caps)
+    sol, cols = _fresh_solve(setup, type_counts, model, tuple(map(tuple, products)), caps)
     if pool is not None:
         pool.update(cols)
     return LpSolution(sol.objective, dict(sol.primal), list(sol.duals_items),
@@ -314,12 +352,12 @@ def _column_generation(setup, type_counts, model, products, capacities, pool):
 
     b = np.array([float(c) for c in capacities] + [float(cnt) for cnt in type_counts])
     obj, x = 0.0, ()
-    y, z = np.zeros(n), np.zeros(A_types)
+    y, z = [0.0] * n, [0.0] * A_types  # Python floats: pricing does scalar arithmetic on them
     for _ in range(MAX_COLGEN_ROUNDS):
         if pool:
             obj, x, duals = master.solve(b)
-            y = duals[:n]
-            z = duals[n:]
+            y = duals[:n].tolist()
+            z = duals[n:].tolist()
         # pricing: each type's best assortment under fare - y; a type with
         # no customers prices at 0 and adds nothing
         pi = [fares[p] - y[products[p][0]] for p in range(len(products))]

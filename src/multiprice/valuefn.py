@@ -133,6 +133,8 @@ class ValueFunction:
     def _locate(self, w):
         """(w, segment of w), with w snapped onto [0, 1] and onto any border
         within BORDER_SNAP of it, the top border L(m) = 1 first."""
+        if type(w) is not float:  # plain floats skip the real rule
+            w = as_real(w, -math.inf, "w")
         if not -BORDER_SNAP <= w <= 1.0 + BORDER_SNAP:
             raise DomainError("w=%r outside [0, 1]" % (w,))
         if w >= 1.0 - BORDER_SNAP:
@@ -233,7 +235,9 @@ class ContinuumValueFunction:
     R: float  # log(r_max / r_min)
 
     def phi(self, w):
-        if w < -BORDER_SNAP or w > 1.0 + BORDER_SNAP:
+        if type(w) is not float:  # plain floats skip the real rule
+            w = as_real(w, -math.inf, "w")
+        if not -BORDER_SNAP <= w <= 1.0 + BORDER_SNAP:
             raise DomainError("w=%r outside [0, 1]" % (w,))
         w = min(max(w, 0.0), 1.0)
         if w <= self.alpha:

@@ -174,6 +174,23 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             MnlModel(n_products=len(model["utilities"][0]), **model)
 
+    @pytest.mark.parametrize("field, value", [
+        ("type_shares", 1.0), ("type_shares", "1"), ("type_shares", None),
+        ("u0", 0.0), ("u0", "0"), ("utilities", 1.0), ("utilities", (1.0,)), ("utilities", ("1",)),
+    ])
+    def test_refuses_a_number_for_a_sequence(self, field, value):
+        # a single number, or a string, where a sequence is asked is refused,
+        # not iterated
+        fields = {"type_shares": (1.0,), "u0": (0.0,), "utilities": ((1.0,),), field: value}
+        with pytest.raises(ValidationError, match="must be a sequence"):
+            MnlModel(n_products=1, **fields)
+
+    def test_takes_any_sequence(self):
+        want = MnlModel(n_products=1, type_shares=(1.0,), u0=(0.0,), utilities=((1.0,),))
+        got = MnlModel(n_products=1, type_shares=np.array([1.0]), u0=[0.0],
+                       utilities=[np.array([1.0])])
+        assert got == want and (got.type_shares, got.u0, got.utilities) == ((1.0,), (0.0,), ((1.0,),))
+
 
 def prefix_reference(model, a, pi):
     """optimize_assortment as it was before each type's choosable products

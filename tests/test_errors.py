@@ -78,6 +78,10 @@ REAL_INPUTS = {
     "lambert_w": (lambert_w, DomainError, 1, -0.5),
     "r_min": (lambda x: dataclasses.astuple(build_continuum(x, 3.0)), InvalidRange, 1, 0.0),
     "r_max": (lambda x: dataclasses.astuple(build_continuum(1.0, x)), InvalidRange, 3, 1.0),
+    "phi's w": (VF.phi, DomainError, 1, -0.5),
+    "phi_prime's w": (VF.phi_prime, DomainError, 1, -0.5),
+    "segment's w": (VF.segment, DomainError, 1, -0.5),
+    "continuum phi's w": (build_continuum(1.0, 3.0).phi, DomainError, 1, -0.5),
 }
 
 BELOW = "below"  # stands for each input's value below its least

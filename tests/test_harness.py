@@ -345,6 +345,26 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("factors", [1.4, 2, None, "1.4"])
+    def test_config_refuses_a_single_loading_factor(self, factors):
+        # a number where a sequence is asked is refused, not iterated
+        with pytest.raises(ValidationError, match="loading factor"):
+            small_config(loading_factors=factors)
+
+    def test_config_takes_any_sequence_of_loading_factors(self):
+        for factors in ([1.4, 1.6], np.array([1.4, 1.6]), (f for f in (1.4, 1.6))):
+            assert small_config(loading_factors=factors).loading_factors == (1.4, 1.6)
+
+    @pytest.mark.parametrize("flag", ["no", "False", 0, 1, None, 1.0])
+    def test_config_refuses_a_fare_diff_that_is_not_a_bool(self, flag):
+        with pytest.raises(ValidationError, match="fare_diff"):
+            small_config(fare_diff=flag)
+
+    def test_config_takes_numpy_bools_as_fare_diff(self):
+        for flag in (False, True):
+            cfg = small_config(fare_diff=np.bool_(flag))
+            assert cfg.fare_diff is flag and cfg == small_config(fare_diff=flag)
+
     def test_config_takes_numpy_integers(self):
         cfg = small_config(trials=np.int64(2), n_days=np.uint8(1), base_seed=np.int64(3))
         assert (type(cfg.trials), type(cfg.n_days), type(cfg.base_seed)) == (int, int, int)

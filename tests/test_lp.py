@@ -325,6 +325,47 @@ def test_negative_zero_right_hand_side_matches_reference(lp_args):
         assert_both_paths_give(simplex_outcome(reference_simplex_max, *lp_args), *lp_args)
 
 
+# LPs whose ratio tests the whole path must take as the reference does
+WHOLE_PATH_LPS = {
+    # the first row within 1e-12 of the least ratio leaves, not the argmin
+    "ratios tied within 1e-12": ([1.0], [[1.0], [1.0]], [1.0 + 5e-13, 1.0]),
+    "a tie Bland's rule breaks towards the later row": (
+        [2.0, 2.0], [[-1.0, 0.0], [0.0, 2.0], [2.0, 1.0]], [0.0, 0.0, 0.0]),
+    "-0.0 and +0.0 right-hand sides": ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-0.0, 0.0]),
+    "a zero-ratio degenerate pivot": ([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0]),
+    "a ratio overflowing to inf beside a finite one": ([1.0], [[1e-8], [1.0]], [1e308, 1.0]),
+    # every ratio is inf, so the row whose entry is not positive ties and
+    # leaves first
+    "only ratios overflowing to inf": ([1.0], [[-1.0], [1e-8]], [0.0, 1e308]),
+}
+
+
+@pytest.mark.parametrize("max_iter", [None, 1, 3])  # 1 and 3 reach Bland's rule
+@pytest.mark.parametrize("name", sorted(WHOLE_PATH_LPS))
+def test_whole_path_ratio_test_matches_reference(name, max_iter):
+    c, A, b = WHOLE_PATH_LPS[name]
+    assert (len(b) + 1) * (len(c) + len(b) + 1) <= lp.WHOLE_PIVOT_CELLS
+    with mock.patch.object(np, "maximum", keeps_negative_zero), np.errstate(all="ignore"):
+        assert_both_paths_give(simplex_outcome(reference_simplex_max, c, A, b, max_iter),
+                               c, A, b, max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [None, 5])
+def test_whole_path_reads_a_nan_ratio_as_the_block_path(max_iter):
+    """A tableau that overflows to NaN: numpy's argmin on the block path
+    takes the first NaN as the least ratio, which leaves no tie, and the
+    whole path's Python scan does the same."""
+    c, A, b = [1.0, -1.0], [[1e-8, -1.0], [-1.0, 1e300]], [1e308, 0.0]
+    outcomes = []
+    for whole_cells in (0, lp.WHOLE_PIVOT_CELLS):
+        with mock.patch.object(lp, "WHOLE_PIVOT_CELLS", whole_cells), np.errstate(all="ignore"):
+            try:
+                outcomes.append(simplex_outcome(simplex_max, c, A, b, max_iter))
+            except ValueError as exc:  # Bland's rule over no tie
+                outcomes.append(("ValueError", str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
 def lps_solved_by(solve, *args):
     """The (c, A, b) of every simplex_max call that solve(*args) makes."""
     lps = []
@@ -697,6 +738,12 @@ class TestChoiceLp:
         with pytest.raises(DomainError):
             solve_choice_lp(setup, [-1.0, 2.0], model, products)
 
+    @pytest.mark.parametrize("counts", [2.0, 2, "22", None])
+    def test_counts_must_be_a_sequence(self, counts):
+        setup, products, model = small_choice_setting()
+        with pytest.raises(DomainError, match="type counts must be a sequence"):
+            solve_choice_lp(setup, counts, model, products)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", None])
     def test_counts_must_be_finite_numbers(self, bad):
         # a NaN count passes a "cnt < 0" test and would be solved as the
@@ -709,7 +756,7 @@ class TestChoiceLp:
                 solve_choice_lp(setup, [bad, 2.0], model, products, pool=pool)
 
     @pytest.mark.parametrize("caps", [[1], [1, 2, 3], [1, "a"], [1, None], [1, math.nan],
-                                      [math.inf, 1], [1, -1]])
+                                      [math.inf, 1], [1, -1], 1, 2.0, "12"])
     def test_capacities_must_fit_the_items(self, empty_memo, caps):
         # one finite number >= 0 per item, refused before the memo is read
         setup, products, model = small_choice_setting()
@@ -1036,6 +1083,26 @@ def test_solve_choice_lp_bit_identical_to_reference(case):
                 assert outcomes[0] == outcomes[1]
             if pooled:
                 assert list(pool) == [(a, s) for a, s, _, _ in ref_pool.cols]
+    lp._fresh_solve.cache_clear()
+
+
+@settings(max_examples=50, deadline=None)
+@given(choice_lp_cases())
+def test_choice_lp_duals_are_python_floats(case):
+    """The duals, fresh and pooled, are Python floats with the reference's
+    values, which it read as numpy floats."""
+    setup, model, products, solves_, _ = case
+    lp._fresh_solve.cache_clear()
+    ref_fresh_solve.cache_clear()
+    for pool, ref_pool in ((None, None), ({}, RefColumnPool())):
+        for counts, caps in solves_:
+            sol = solve_choice_lp(setup, counts, model, products, capacities=caps, pool=pool)
+            ref = ref_solve_choice_lp(setup, counts, model, products, capacities=caps,
+                                      pool=ref_pool)
+            for got, want in ((sol.duals_items, ref.duals_items),
+                              (sol.duals_arrivals, ref.duals_arrivals)):
+                assert all(type(v) is float for v in got)
+                assert [v.hex() for v in got] == [float(v).hex() for v in want]
     lp._fresh_solve.cache_clear()
 
 
