@@ -19,8 +19,9 @@ from .engine import check_products, validate
 from .errors import DomainError, SolverLimitError, as_int, as_real, as_tuple
 
 PIVOT_TOL = 1e-9
-# a pivot updates a tableau of at most WHOLE_PIVOT_CELLS cells whole, and a
-# larger one in blocks of at most PIVOT_BLOCK_CELLS touched cells
+# a pivot on a tableau of at most WHOLE_PIVOT_CELLS cells runs its ratio test
+# in Python and updates the tableau whole; on a larger one it runs the test in
+# numpy and updates blocks of at most PIVOT_BLOCK_CELLS touched cells
 WHOLE_PIVOT_CELLS = 4_096
 PIVOT_BLOCK_CELLS = 16_384
 # the largest simplex tableau solve_primal builds, in cells of 8 bytes

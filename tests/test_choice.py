@@ -168,22 +168,14 @@ class TestModelValidation:
         {"u0": (-800.0,)},
         {"type_shares": (math.nan,)},
         {"type_shares": ("1",)},
+        # a single number or a string where a sequence is asked
+        {"type_shares": 1.0}, {"type_shares": "1"}, {"type_shares": None},
+        {"u0": 0.0}, {"u0": "0"}, {"utilities": "1"}, {"utilities": ((1.0,), 1.0)},
     ])
     def test_refuses_unusable_weights(self, fields):
         model = {"type_shares": (1.0,), "u0": (0.0,), "utilities": ((1.0,),), **fields}
         with pytest.raises(ValidationError):
             MnlModel(n_products=len(model["utilities"][0]), **model)
-
-    @pytest.mark.parametrize("field, value", [
-        ("type_shares", 1.0), ("type_shares", "1"), ("type_shares", None),
-        ("u0", 0.0), ("u0", "0"), ("utilities", 1.0), ("utilities", (1.0,)), ("utilities", ("1",)),
-    ])
-    def test_refuses_a_number_for_a_sequence(self, field, value):
-        # a single number, or a string, where a sequence is asked is refused,
-        # not iterated
-        fields = {"type_shares": (1.0,), "u0": (0.0,), "utilities": ((1.0,),), field: value}
-        with pytest.raises(ValidationError, match="must be a sequence"):
-            MnlModel(n_products=1, **fields)
 
     def test_takes_any_sequence(self):
         want = MnlModel(n_products=1, type_shares=(1.0,), u0=(0.0,), utilities=((1.0,),))
