@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the package, and its integer and real rules."""
+"""Exception hierarchy shared across the package, and its integer, real and sequence rules."""
 
 import math
 import numbers
+from collections.abc import Set as AbstractSet
 
 
 class MultipriceError(Exception):
@@ -52,9 +53,10 @@ def as_real(x, least, name, error=DomainError, strict=False):
 
 
 def as_tuple(xs, name, error=DomainError):
-    """xs as a tuple: raises `error` unless xs is an iterable, a string not,
-    so that a single number given for a sequence is refused."""
-    if not isinstance(xs, str):
+    """xs as a tuple: raises `error` unless xs is an iterable with an order,
+    a string or a set not, so that a single number or string given for a
+    sequence is refused."""
+    if not isinstance(xs, (str, AbstractSet)):
         try:
             return tuple(xs)
         except TypeError:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InvalidPriceSet, InvalidRange, as_real
+from .errors import DomainError, InvalidPriceSet, InvalidRange, as_real, as_tuple
 
 # w values this close to a segment border are snapped onto it
 BORDER_SNAP = 1e-15
@@ -36,10 +35,9 @@ class PriceSet:
     prices: tuple
 
     def __init__(self, prices):
-        if not (isinstance(prices, Sequence) or getattr(prices, "ndim", None) == 1):
-            raise InvalidPriceSet("prices must be a sequence of numbers, got %r" % (prices,))
         object.__setattr__(self, "prices", tuple(
-            as_real(r, 0.0, "a price", InvalidPriceSet, strict=True) for r in prices))
+            as_real(r, 0.0, "a price", InvalidPriceSet, strict=True)
+            for r in as_tuple(prices, "prices", InvalidPriceSet)))
         self._validate()
 
     def _validate(self):

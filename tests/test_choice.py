@@ -168,8 +168,8 @@ class TestModelValidation:
         {"u0": (-800.0,)},
         {"type_shares": (math.nan,)},
         {"type_shares": ("1",)},
-        # a single number or a string where a sequence is asked
-        {"type_shares": 1.0}, {"type_shares": "1"}, {"type_shares": None},
+        # a single number, a string or a set where a sequence is asked
+        {"type_shares": {1.0}}, {"type_shares": 1.0}, {"type_shares": "1"}, {"type_shares": None},
         {"u0": 0.0}, {"u0": "0"}, {"utilities": "1"}, {"utilities": ((1.0,), 1.0)},
     ])
     def test_refuses_unusable_weights(self, fields):

@@ -342,7 +342,7 @@ class TestRunExperiment:
         ("base_seed", -1), ("base_seed", 1.5), ("loading_factors", ("a",)),
         # a single number or a string where a sequence is asked
         ("loading_factors", 1.4), ("loading_factors", 2), ("loading_factors", None),
-        ("loading_factors", "x"),
+        ("loading_factors", "x"), ("loading_factors", {1.4, 1.6}),
     ])
     def test_config_refuses_counts_and_factors(self, field, value):
         with pytest.raises(ValidationError):

@@ -351,19 +351,13 @@ def test_whole_path_ratio_test_matches_reference(name, max_iter):
 
 
 @pytest.mark.parametrize("max_iter", [None, 5])
-def test_whole_path_reads_a_nan_ratio_as_the_block_path(max_iter):
-    """A tableau that overflows to NaN: numpy's argmin on the block path
-    takes the first NaN as the least ratio, which leaves no tie, and the
-    whole path's Python scan does the same."""
+def test_overflowed_tableau_is_a_solver_limit(max_iter):
+    """A pivot by 1e-8 turns the right-hand side into inf and the next one
+    into NaN: on either path the NaN ratio raises SolverLimitError."""
     c, A, b = [1.0, -1.0], [[1e-8, -1.0], [-1.0, 1e300]], [1e308, 0.0]
-    outcomes = []
-    for whole_cells in (0, lp.WHOLE_PIVOT_CELLS):
-        with mock.patch.object(lp, "WHOLE_PIVOT_CELLS", whole_cells), np.errstate(all="ignore"):
-            try:
-                outcomes.append(simplex_outcome(simplex_max, c, A, b, max_iter))
-            except ValueError as exc:  # Bland's rule over no tie
-                outcomes.append(("ValueError", str(exc)))
-    assert outcomes[0] == outcomes[1]
+    with np.errstate(all="ignore"):
+        assert_both_paths_give(("SolverLimitError", "simplex tableau overflowed"),
+                               c, A, b, max_iter)
 
 
 def lps_solved_by(solve, *args):

@@ -59,8 +59,8 @@ class TestPriceSet:
     @pytest.mark.parametrize("prices", [5, None, 2.5, {1.0, 3.0}, np.array(2.0), "12",
                                         [[1.0], [3.0]]])
     def test_rejects_what_is_not_a_sequence_of_numbers(self, prices):
-        # "12" is a sequence, but of strings, which are not prices; single
-        # prices that are not numbers are in tests/test_errors.py
+        # a string or a set is not taken as a price sequence; single prices
+        # that are not numbers are in tests/test_errors.py
         with pytest.raises(InvalidPriceSet):
             PriceSet(prices)
         with pytest.raises(InvalidPriceSet):
@@ -70,6 +70,7 @@ class TestPriceSet:
         for prices in (np.array([1.0, 3.0]), np.array([1, 3]), range(1, 4, 2)):
             assert PriceSet(prices).prices == (1.0, 3.0)
             assert build_value_function(prices) is build_value_function([1.0, 3.0])
+        assert PriceSet(p for p in (1.0, 3.0)).prices == (1.0, 3.0)
 
     def test_implicit_zero_price(self):
         ps = PriceSet([5.0, 7.0])
