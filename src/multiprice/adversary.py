@@ -86,11 +86,13 @@ def build_instance(vf, n, k, rng_seed):
     )
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def _instance_shape(vf, n, k):
     """What every permutation of an instance shares, built once for the
-    trials of one command: the Setup of n items of k units, each group's
-    phase and each group's k customers, the arrays read-only."""
+    trials of one command and kept for the last 8 shapes asked for, so that
+    commands that take turns with a few shapes build each once: the Setup
+    of n items of k units, each group's phase and each group's k customers,
+    the arrays read-only."""
     _, betas = solve_betas(vf)
     m = vf.m
 

@@ -21,6 +21,7 @@ one ledger books every sale.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Iterable
@@ -103,6 +104,12 @@ class Setup:
         return _read_only(table)
 
     @functools.cached_property
+    def price_rows(self):
+        """Each item's prices as (0.0, r(1), ..., r(m)), indexed like its
+        price_table row, to read one price at a time."""
+        return tuple((0.0,) + item.priceset.prices for item in self.items)
+
+    @functools.cached_property
     def item_groups(self):
         """{(price tuple, k): read-only array of the indices of the items
         with those prices and inventory}, in order of first appearance."""
@@ -152,6 +159,7 @@ class ArrivalSequence:
         self.products = products
         self.days_out = days_out  # optional, days before the occupancy date
         self._given = (willing, None) if runs is None else tuple(np.asarray(a) for a in runs)
+        self._bid_rows = {}  # id(bid table) -> (bid table, columns, its runs' bid rows)
 
     @functools.cached_property
     def _found(self):
@@ -298,7 +306,7 @@ class Ledger:
     none left is a fault of the policy and raises MultipriceError."""
 
     def __init__(self, setup):
-        self.items = setup.items
+        self.prices = setup.price_rows
         self.ks = [it.k for it in setup.items]
         self.sold = [0] * setup.n
         self.sold_out = 0  # items with no unit left, counted as they sell out
@@ -317,7 +325,7 @@ class Ledger:
         self.sold[i] += 1
         if self.sold[i] == self.ks[i]:
             self.sold_out += 1
-        price = self.items[i].priceset.price(j)
+        price = self.prices[i][j]
         self.book(t, i, j, price, z)
         return price
 
@@ -340,12 +348,12 @@ class _Offer:
     An offer serves one run, with one ledger, product list and choice
     model, and three memos spare its assortment loop work done before.
     values() keeps the list it built until it goes stale: at a write to the
-    state, which goes through advance, put or a refresh that solved, or
-    when the ledger sells another item out.  best() keeps, per customer
-    type, the last pi and the oracle's answer for it, and asks the oracle
-    again only for a pi that differs; probs() keeps, per customer type, the
-    last assortment and its choice probabilities, and computes them again
-    only for an assortment that differs.  The oracle and choice_probs are
+    state, which goes through advance, put, a refresh that solved or the
+    deterministic loop, or when the ledger sells another item out.  best()
+    keeps, per customer type, the last pi and the oracle's answer for it,
+    and asks the oracle again only for a pi that differs; probs() keeps,
+    per customer type, the last assortment and its choice probabilities,
+    and computes them again only for an assortment that differs.  The oracle and choice_probs are
     pure functions, so the answers are those they would give."""
 
     def __init__(self, bid, combine, levels=None, col_item=None, state=None):
@@ -436,31 +444,65 @@ def _balance_offer(setup, rng_seed, perturbed):
     return _Offer(bid, operator.sub, levels), grids
 
 
+def _bid_rows(arrivals, bid, cols):
+    """bid[cols, row[cols]] for each row of the runs, one flat take.  A
+    read-only table cannot change, so its rows are kept on the arrivals for
+    the runners that read it through the same columns: at k = 1 myopic, gnr
+    and ranking share one take of Setup.price_table."""
+    held = arrivals._bid_rows.get(id(bid))  # the entry holds bid, so the id is bid's
+    if held is not None and np.array_equal(held[1], cols):
+        return held[2]
+    rows = arrivals.runs[0]
+    bids = _read_only(bid.ravel().take(rows[:, cols] + cols * bid.shape[1]))
+    if not bid.flags.writeable:
+        arrivals._bid_rows[id(bid)] = (bid, cols, bids)
+    return bids
+
+
 def _deterministic_loop(setup, arrivals, offer, ledger, on_sale=None):
     """One argmax per arrival: the customer buys from the first column of
     largest offer value at their willingness price, since the offer value
     rises with the price; bid 0 of an uninterested customer never wins.
-    The customers of a run share one bid row, and once one of them finds
-    no offer worth making the state stands still, so the rest find none."""
+    The customers of a run share one bid row and one array of offer values,
+    in which a sale changes only the sold column's entry, worked out again
+    by the same scalar operation; once one of them finds no offer worth
+    making the state stands still, so the rest find none.  A sale is booked
+    here as Ledger.sell and _Offer.advance would book it."""
     rows, counts = arrivals.runs
-    cols = offer.col_item
-    bids = offer.bid.ravel().take(rows[:, cols] + cols * offer.bid.shape[1])
-    combine, state, col_item = offer.combine, offer.state, cols.tolist()
+    bids = _bid_rows(arrivals, offer.bid, offer.col_item)
+    combine, state, levels, count = offer.combine, offer.state, offer.levels, offer.count
+    col_item = offer.col_item.tolist()
+    prices, sold, ks, log = ledger.prices, ledger.sold, ledger.ks, ledger.log
+    revenue, sold_out = ledger.revenue, ledger.sold_out
     start = 0
-    for r, count in enumerate(counts.tolist()):
+    for r, end in enumerate(np.cumsum(counts).tolist()):
         bid, row = bids[r], rows[r]
-        for t in range(start, start + count):
-            v = combine(bid, state)
+        v = combine(bid, state)
+        for t in range(start, end):
+            if t > start:  # the last sale's column, as combine(bid, state) gives it
+                v[c] = combine(bid[c], state[c])
             c = int(v.argmax())
             z = float(v[c])
             if z <= POSITIVITY_EPS:
                 break
             i = col_item[c]
-            price = ledger.sell(t, i, int(row[i]), z)
+            s = sold[i] + 1
+            if s > ks[i]:
+                raise MultipriceError("item %d would sell more than its %d units" % (i, ks[i]))
+            sold[i] = s
+            if s == ks[i]:
+                sold_out += 1
+            j = int(row[i])
+            price = prices[i][j]
+            revenue += price
+            log.append((t, i, j, price, z))
             if on_sale is not None:
                 on_sale(t, c, z, price)
-            offer.advance(c)
-        start += count
+            count[c] += 1
+            state[c] = levels[c][count[c]]
+        start = end
+    ledger.revenue, ledger.sold_out = revenue, sold_out
+    offer._values = None  # the state was written
     return ledger
 
 
@@ -570,14 +612,20 @@ def run_ranking(setup, arrivals, rng_seed, check_assignments=False):
     maximizing her willingness price minus the unit's value Phi(W)."""
     validate(setup, arrivals, "ranking", "deterministic")
     as_int(rng_seed, 0, "rng_seed")
-    vfs = [build_value_function(it.priceset) for it in setup.items]
-    unit_item = [i for i, item in enumerate(setup.items) for _ in range(item.k)]
-    unit_w = item_uniforms(rng_seed, [item.k for item in setup.items])
-    levels = [[vfs[i].phi(w), np.inf] for i, w in zip(unit_item, unit_w)]
+    ks = [item.k for item in setup.items]
+    unit_item = [i for i, k in enumerate(ks) for _ in range(k)]
+    unit_w = item_uniforms(rng_seed, ks)
+    first = list(itertools.accumulate(ks, initial=0))  # each item's first unit
+    levels = [None] * len(unit_w)
+    for (prices, k), items in setup.item_groups.items():
+        units = [u for i in items.tolist() for u in range(first[i], first[i] + k)]
+        values = build_value_function(prices).phi([unit_w[u] for u in units])
+        for u, value in zip(units, values):
+            levels[u] = [value, np.inf]
     offer = _Offer(setup.price_table, operator.sub, levels, np.array(unit_item, dtype=int))
 
     def check(t, u, z, price):
-        vf = vfs[unit_item[u]]
+        vf = build_value_function(setup.items[unit_item[u]].priceset)
         lhs = (1.0 - math.exp(-vf.alphas[0])) * (vf.phi_prime(unit_w[u]) + z)
         if lhs > price + 1e-9:
             raise MultipriceError("assignment bound violated at arrival %d" % t)

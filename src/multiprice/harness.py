@@ -65,6 +65,12 @@ class ExperimentConfig:
         object.__setattr__(self, "loading_factors", tuple(
             as_real(f, 0.0, "loading factor", ValidationError, strict=True)
             for f in as_tuple(self.loading_factors, "loading factors", ValidationError)))
+        policies = tuple(as_tuple(p, "a policy", ValidationError)
+                         for p in as_tuple(self.policies, "policies", ValidationError))
+        for pair in policies:
+            if len(pair) != 2 or not isinstance(pair[0], str) or not callable(pair[1]):
+                raise ValidationError("a policy must be a (name, callable) pair, got %r" % (pair,))
+        object.__setattr__(self, "policies", policies)
         if not isinstance(self.fare_diff, (bool, np.bool_)):
             raise ValidationError("fare_diff must be a bool, got %r" % (self.fare_diff,))
         object.__setattr__(self, "fare_diff", bool(self.fare_diff))

@@ -63,7 +63,9 @@ def simplex_max(c, A, b, max_iter=None):
     about 4.6 us a pivot on the 120 rows of an n = 60 assignment LP, where
     the Python scan takes 14 us.  Both give the same row: Python's / is
     numpy's IEEE division, and a positive entry whose ratio overflows to
-    inf ties with the rows read as inf.
+    inf ties with the rows read as inf.  An objective row or right-hand
+    side that is not finite after the last pivot raises SolverLimitError
+    too.
 
     A pivot updates only the touched rows, those whose pivot-column entry
     exceeds 1e-14 in size.  A tableau of at most WHOLE_PIVOT_CELLS cells
@@ -184,6 +186,8 @@ def simplex_max(c, A, b, max_iter=None):
                 flat[idx] = vals
         basis[leave] = e
 
+    if not (np.isfinite(T[m]).all() and np.isfinite(rhs).all()):
+        raise SolverLimitError("simplex tableau overflowed")
     x = np.zeros(nv)
     for v, xv in zip(basis, rhs.tolist()):
         if v < nv:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, InvalidPriceSet, InvalidRange, as_real, as_tuple
 
 # w values this close to a segment border are snapped onto it
@@ -144,8 +146,30 @@ class ValueFunction:
                 break
         return w, min(bisect.bisect_right(self.borders, w), self.m)
 
+    def _locate_all(self, ws):
+        """_locate of each w in one pass: the lists of snapped ws and of their segments."""
+        ws = np.array([w if type(w) is float else as_real(w, -math.inf, "w") for w in ws])
+        inside = (ws >= -BORDER_SNAP) & (ws <= 1.0 + BORDER_SNAP)
+        if not inside.all():
+            raise DomainError("w=%r outside [0, 1]" % (ws[inside.argmin()].item(),))
+        top = ws >= 1.0 - BORDER_SNAP
+        borders = np.array(self.borders)
+        # the first border near wins; a w below 0 is near L(0) = 0
+        near = np.abs(ws[:, None] - borders) <= BORDER_SNAP
+        ws = np.where(near.any(axis=1), borders[near.argmax(axis=1)], ws)
+        js = np.minimum(np.searchsorted(borders, ws, side="right"), self.m)
+        ws[top], js[top] = 1.0, self.m
+        return ws.tolist(), js.tolist()
+
     def phi(self, w):
-        """Bid price at fraction sold w."""
+        """Bid price at fraction sold w; for a list or tuple of ws, the list
+        of their bid prices, each the float phi gives it alone."""
+        if isinstance(w, (list, tuple)):
+            r, borders = (0.0,) + self.priceset.prices, self.borders
+            scales = [math.expm1(a) for a in self.alphas]
+            return [r[-1] if x == 1.0  # r(m) exactly, as below
+                    else r[j - 1] + (r[j] - r[j - 1]) * math.expm1(x - borders[j - 1])
+                    / scales[j - 1] for x, j in zip(*self._locate_all(w))]
         w, j = self._locate(w)
         if w == 1.0:  # r(m) exactly, where the formula may miss it in the last bits
             return self.priceset.prices[-1]

@@ -125,8 +125,13 @@ class TestBuildInstance:
         for other in (build_instance(VF13, 12, 3, 0), build_instance(VF13, 13, 2, 0),
                       build_instance(build_value_function([1.0, 4.0]), 12, 2, 0)):
             assert other.setup is not a.setup
+        # the memo holds the last 8 shapes: a's survives three others, then
+        # eight more push it out
+        assert build_instance(VF13, 12, 2, 0).setup is a.setup
+        for n in range(14, 22):
+            build_instance(VF13, n, 2, 0)
         again = build_instance(VF13, 12, 2, 0)
-        assert again.setup is not a.setup  # the memo holds the last shape alone
+        assert again.setup is not a.setup
         assert np.array_equal(again.arrivals.willing, a.arrivals.willing)
 
     def test_structure(self):

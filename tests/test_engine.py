@@ -401,6 +401,44 @@ class TestRuns:
                 assert arrivals.T == len(willing)
                 assert exact(fn(setup, arrivals, seed, **options)) == want
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=run_instances(), seed=st.integers(0, 2**32))
+    def test_runners_sharing_one_sequence_equal_fresh_runs(self, case, seed):
+        # every runner on one sequence, which keeps the bid rows of the
+        # read-only price table, gives what it gives on a sequence of its own
+        setup, runs = case
+        rows = np.array([row for row, _ in runs], dtype=int).reshape(-1, setup.n)
+        counts = np.array([count for _, count in runs], dtype=int)
+        shared = ArrivalSequence(kind="deterministic", runs=(rows, counts))
+        for fn, options in RUN_POLICIES * 2:
+            fresh = ArrivalSequence(kind="deterministic", runs=(rows, counts))
+            assert exact(fn(setup, shared, seed, **options)) == \
+                exact(fn(setup, fresh, seed, **options))
+
+    def test_bid_rows_kept_for_read_only_tables_alone(self):
+        setup = Setup(items=(Item(k=1, priceset=PriceSet([1.0, 3.0])),) * 3)
+        arrivals = det([[2, 1, 0], [0, 2, 2], [1, 1, 1]])
+        table, cols = setup.price_table, np.arange(3)
+        first = engine._bid_rows(arrivals, table, cols)
+        assert first.tolist() == [[3.0, 1.0, 0.0], [0.0, 3.0, 3.0], [1.0, 1.0, 1.0]]
+        assert engine._bid_rows(arrivals, table, np.array([0, 1, 2])) is first
+        assert engine._bid_rows(arrivals, table, np.array([0, 0, 2])).tolist() == \
+            [[3.0, 3.0, 0.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0]]
+        copy = table.copy()
+        assert engine._bid_rows(arrivals, copy, cols) is not engine._bid_rows(arrivals, copy, cols)
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+    def test_run_loop_never_sells_more_than_k(self):
+        # an offer whose state never rules its item out: the loop refuses
+        # the second sale of the one unit
+        setup = Setup(items=(Item(k=1, priceset=PriceSet([4.0])),))
+        offer = engine._Offer(setup.price_table, operator.sub, [[0.0, 0.0, 0.0]])
+        ledger = Ledger(setup)
+        with pytest.raises(MultipriceError, match="more than its 1 units"):
+            engine._deterministic_loop(setup, det([[1], [1]]), offer, ledger)
+        assert (ledger.sold, len(ledger.log)) == ([1], 1)
+
     def test_runs_found_once(self):
         willing = np.array([[1, 0]] * 3 + [[0, 2]] + [[1, 0]] * 2)
         arrivals = det(willing)

@@ -362,6 +362,20 @@ class TestRunExperiment:
             cfg = small_config(fare_diff=np.bool_(flag))
             assert cfg.fare_diff is flag and cfg == small_config(fare_diff=flag)
 
+    @pytest.mark.parametrize("policies", [
+        3, None, "myopic", (("x", 3),), (("x",),), ((3, run_myopic),),
+        (("x", run_myopic, run_myopic),), (run_myopic,), {("x", run_myopic)},
+    ])
+    def test_config_refuses_policies_that_are_not_name_callable_pairs(self, policies):
+        with pytest.raises(ValidationError, match="polic"):
+            small_config(policies=policies)
+
+    def test_config_takes_any_sequence_of_policy_pairs(self):
+        pairs = (("a", run_myopic), ("b", run_bidprice))
+        for policies in ([list(p) for p in pairs], iter(pairs), np.array(pairs, dtype=object)):
+            assert small_config(policies=policies).policies == pairs
+        assert small_config(policies=()).policies == ()
+
     def test_config_takes_numpy_integers(self):
         cfg = small_config(trials=np.int64(2), n_days=np.uint8(1), base_seed=np.int64(3))
         assert (type(cfg.trials), type(cfg.n_days), type(cfg.base_seed)) == (int, int, int)

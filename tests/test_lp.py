@@ -360,6 +360,34 @@ def test_overflowed_tableau_is_a_solver_limit(max_iter):
                                c, A, b, max_iter)
 
 
+# LPs whose tableau overflows with no NaN ratio on the way: the objective,
+# x or the duals would come out inf or NaN
+OVERFLOWING_LPS = {
+    "an objective of 1e308 / 1e-8": ([1e308], [[1e-8]], [1.0]),
+    "two such columns": ([1e308, 1e308], [[1e-8, 1e-8]], [1.0]),
+    "three columns": ([1e308, 1.0, 1e300], [[1e-8, 1e-300, 1e300]], [1.0]),
+    "a tiny row beside a huge cost": ([-1.0, 1e300], [[1e-300, 1e-300], [1e-8, 1.0]],
+                                      [0.0, 1e308]),
+    "an objective of 0 with an inf dual": ([1e300], [[1e-300], [1e-8], [-1.0]],
+                                           [0.0, 1e308, 0.0]),
+}
+
+
+@pytest.mark.parametrize("max_iter", [None, 1])  # 1 reaches Bland's rule
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_LPS))
+def test_tableau_overflowed_without_a_nan_ratio_is_a_solver_limit(name, max_iter):
+    c, A, b = OVERFLOWING_LPS[name]
+    with np.errstate(all="ignore"):
+        assert_both_paths_give(("SolverLimitError", "simplex tableau overflowed"),
+                               c, A, b, max_iter)
+
+
+def test_huge_finite_solutions_are_still_returned():
+    # the largest floats that stay finite pass the check
+    obj, x, duals = simplex_max([1e300], [[1e-8]], [1.0])
+    assert (obj, x.tolist(), duals.tolist()) == (1e308, [1e8], [1e308])
+
+
 def lps_solved_by(solve, *args):
     """The (c, A, b) of every simplex_max call that solve(*args) makes."""
     lps = []

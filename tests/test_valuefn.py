@@ -184,6 +184,46 @@ class TestPhi:
             assert vf.phi_prime(w) > 0
 
 
+def probe_points(vf, rng):
+    """0, each border, each border +- BORDER_SNAP and +- 1 ulp, 1 - 1e-16,
+    and seeded uniforms, all within phi's domain."""
+    ws = [0.0, 1.0 - 1e-16] + rng.random(50).tolist()
+    for b in vf.borders:
+        ws += [b, b - BORDER_SNAP, b + BORDER_SNAP,
+               math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+    return [w for w in ws if -BORDER_SNAP <= w <= 1.0 + BORDER_SNAP]
+
+
+class TestPhiOfASequence:
+    # the last set's two inner borders lie 1 ulp apart, and the first one
+    # near a w is the one it snaps onto
+    @pytest.mark.parametrize("prices", [[7.0], [150.0, 450.0], [1.0, 2.0, 4.0],
+                                        [2.0, 2.0 + 1e-9, 3.0], [1.0, 1.0 + 2**-52, 3.0]])
+    def test_equals_the_scalar_call_by_hex(self, prices):
+        vf = build_value_function(prices)
+        ws = probe_points(vf, np.random.default_rng(len(prices)))
+        want = [vf.phi(w).hex() for w in ws]
+        for given, expect in ((ws, want), (tuple(ws), want), (ws[::-1], want[::-1])):
+            got = vf.phi(given)
+            assert type(got) is list and all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == expect
+
+    def test_takes_what_the_scalar_call_takes(self):
+        vf = build_value_function([1.0, 3.0])
+        ws = [0, 1, np.float64(0.25), np.float32(0.5), np.int64(0)]
+        assert vf.phi(ws) == [vf.phi(w) for w in ws]
+        assert vf.phi([]) == []
+
+    @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan, math.inf, True, "0.5", None])
+    def test_refuses_what_the_scalar_call_refuses(self, bad):
+        vf = build_value_function([1.0, 3.0])
+        with pytest.raises(DomainError) as scalar:
+            vf.phi(bad)
+        with pytest.raises(DomainError) as listed:
+            vf.phi([0.5, bad, 0.25])
+        assert str(listed.value) == str(scalar.value)
+
+
 class ParentValueFunction:
     """segment, _clamp, phi and phi_prime of a ValueFunction as they were
     before phi and phi_prime shared one clamp and one segment lookup."""
