@@ -130,10 +130,10 @@ def optimize_assortment(model, a, pi):
     return tuple(sorted(cands[:best_end])), best_v
 
 
-def sample_choice(probs, rng):
-    """Sample one choice from choice probabilities as choice_probs gives
-    them; returns a product index or None for no-purchase."""
-    u = rng.random()
+def sample_choice(probs, u):
+    """The choice a uniform u in [0, 1) picks from choice probabilities as
+    choice_probs gives them: the first product whose running sum of
+    probabilities passes u, or None for no-purchase."""
     acc = 0.0
     for p, prob in probs.items():
         acc += prob

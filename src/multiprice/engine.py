@@ -300,6 +300,14 @@ def _stream(rng_seed, i):
     return np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i,)))
 
 
+def _choice_uniforms(rng_seed, n, T):
+    """The choice stream of a run over n items and T customers, who draw
+    once each at most: its first T uniforms, from one Generator.random(T)
+    call, which gives the doubles of T random() calls in their order.  A
+    loop takes the next one for each draw it makes."""
+    return iter(_stream(rng_seed, n).random(T).tolist())
+
+
 class Ledger:
     """Sale bookkeeping shared by every policy: units sold per item, items
     sold out, revenue and the sales log.  Selling a unit of an item that has
@@ -421,7 +429,9 @@ def _balance_offer(setup, rng_seed, perturbed):
     """Balance values: the (perturbed) value function at the (rounded) price
     border minus at the sold level.  Also returns each item's value grid
     over sold counts 0..k.  Items that round alike share one grid and one
-    level table, built once per distinct rounding of their (prices, k)."""
+    level table, built once per distinct rounding of their (prices, k),
+    which build_perturbed keeps for later runs; unperturbed, a (prices, k)
+    has one grid, from one list phi call."""
     bid = setup.price_table.copy() if perturbed else setup.price_table
     if perturbed:
         seeds = item_uniforms(rng_seed, [1] * setup.n)
@@ -437,7 +447,7 @@ def _balance_offer(setup, rng_seed, perturbed):
             grid_per_rounding = [pvf.grid_values for pvf in pvfs]
         else:
             inverse = np.zeros(len(items), dtype=int)
-            grid_per_rounding = [[vf.phi(s / k) for s in range(k + 1)]]
+            grid_per_rounding = [vf.phi([s / k for s in range(k + 1)])]
         shared = [(grid, list(grid[:-1]) + [np.inf]) for grid in grid_per_rounding]
         for i, r in zip(items.tolist(), inverse.tolist()):
             grids[i], levels[i] = shared[r]
@@ -525,9 +535,9 @@ def _best_offers(arrivals, offer):
 def _single_offer_loop(setup, arrivals, rng_seed, offer, ledger, on_sale=None):
     """Each customer is offered the best (item, price) and buys it with its
     probability, drawn from the choice stream."""
-    rng = _stream(rng_seed, setup.n)
+    draws = _choice_uniforms(rng_seed, setup.n, arrivals.T)
     for t, i, j, z, p in _best_offers(arrivals, offer):
-        if rng.random() < p:
+        if next(draws) < p:
             price = ledger.sell(t, i, j, z)
             if on_sale is not None:
                 on_sale(t, i, z, price)
@@ -556,9 +566,9 @@ def _fractional_loop(setup, arrivals, offer, ledger, vfs):
 def _assortment_loop(setup, arrivals, rng_seed, offer, ledger, choose=None):
     """Offer each customer the assortment of largest expected offer value,
     or what choose(t, a) returns as (the assortment's choice probabilities,
-    offer value per product); the customer picks by the MNL model from the
-    choice stream."""
-    rng = _stream(rng_seed, setup.n)
+    offer value per product); the customer picks by the MNL model with the
+    choice stream's next uniform, and one offered nothing draws none."""
+    draws = _choice_uniforms(rng_seed, setup.n, arrivals.T)
     model, products = arrivals.model, arrivals.products
     for t, a in enumerate(arrivals.types):
         offer.refresh(t)
@@ -569,7 +579,7 @@ def _assortment_loop(setup, arrivals, rng_seed, offer, ledger, choose=None):
             probs, pi = choose(t, a)
         if not probs:  # the empty assortment
             continue
-        chosen = sample_choice(probs, rng)
+        chosen = sample_choice(probs, next(draws))
         if chosen is None:
             continue
         i, j = products[chosen]

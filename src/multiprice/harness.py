@@ -34,7 +34,8 @@ _TYPE_FLAGS = {
 # BOOKING_CURVE as days out by fraction booked
 _DAYS_OUT_BY_FRACTION = tuple((f, d) for d, f in BOOKING_CURVE)
 
-# a simulated day holds at most this many mean arrivals and units of inventory
+# a simulated day holds at most this many mean arrivals and units of
+# inventory, and an ingested transaction file this many arrivals in all
 MAX_DAY_SIZE = 1_000_000
 
 _REQUIRED_COLUMNS = (
@@ -149,7 +150,9 @@ def ingest_transactions(path_or_file, replicate=1, fare_diff=False):
 
     A stay of d nights becomes one arrival on each of d consecutive dates.
     Arrivals are ordered by booking date.  `replicate` repeats each arrival
-    in place (the high-inventory regime).
+    in place (the high-inventory regime).  A file whose rows would expand
+    to more than MAX_DAY_SIZE arrivals in all raises SolverLimitError at
+    the row that passes it, before that row is expanded.
     """
     replicate = as_int(replicate, 1, "replicate", ValidationError)
     catalog = default_hotel_model(fare_diff=fare_diff)
@@ -166,6 +169,7 @@ def ingest_transactions(path_or_file, replicate=1, fare_diff=False):
         if missing:
             raise ValidationError("missing columns: %s" % ", ".join(missing))
         by_date = {}
+        total = 0  # arrivals after expansion, replicates included
         for rownum, row in enumerate(reader, start=2):
             try:
                 booked = int(row["booking_date"])
@@ -190,6 +194,10 @@ def ingest_transactions(path_or_file, replicate=1, fare_diff=False):
                 for c in ("group", "cro", "vip")
             )
             a = _TYPE_FLAGS[flags]
+            total += nights * replicate
+            if total > MAX_DAY_SIZE:
+                raise SolverLimitError("row %d: the file expands to more than %d arrivals"
+                                       % (rownum, MAX_DAY_SIZE))
             for night in range(nights):
                 date = occupied + night
                 by_date.setdefault(date, []).append((booked, a))

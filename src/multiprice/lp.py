@@ -30,6 +30,11 @@ MAX_TABLEAU_CELLS = 10_000_000
 # by more than COLGEN_TOL, or after MAX_COLGEN_ROUNDS master solves
 COLGEN_TOL = 1e-7
 MAX_COLGEN_ROUNDS = 10_000
+# choice-LP solves memoized.  The hotel suite on a day of 260 customers and
+# 2 trials makes about 22 solves that miss; 64 entries keep a loading
+# factor's first solve, which its bid-price runs repeat, across two such
+# days at other loading factors (56 entries do, 48 do not)
+MEMO_SIZE = 64
 
 
 @dataclass
@@ -269,9 +274,12 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None, pool=N
 
     The pool, a dict {(type, assortment): (column, revenue)} in the order
     the columns were generated, carries columns across solves with the same
-    model, products and fares.  A solve from a fresh pool (None or empty)
-    is memoized on the other arguments (8 entries) and fills the pool, if
-    given, with the columns that solve generated.
+    model, products and fares.  Every solve is memoized, MEMO_SIZE entries,
+    on (setup, type counts, model, products, capacities, the pool's keys in
+    order), a fresh solve being the one from no pool or an empty one: a
+    pooled column follows from its key and the other arguments, so its key
+    stands for it.  A hit returns a copy of the solution and fills the pool,
+    if given, with the columns the miss generated, in the same order.
     """
     check_products(setup, products)
     caps = (tuple(it.k for it in setup.items) if capacities is None
@@ -279,24 +287,45 @@ def solve_choice_lp(setup, type_counts, model, products, capacities=None, pool=N
     type_counts = as_tuple(type_counts, "type counts")
     _check_amounts(caps, setup.n, "capacities")
     _check_amounts(type_counts, model.n_types, "type counts")
-    if pool:
-        return _column_generation(setup, type_counts, model, products, caps, pool)
-    sol, cols = _fresh_solve(setup, type_counts, model, tuple(map(tuple, products)), caps)
+    sol, keys, cols, revs = _cached_solve(setup, type_counts, model, tuple(map(tuple, products)),
+                                          caps, _Pooled(pool or {}))
     if pool is not None:
-        pool.update(cols)
+        pool.update(zip(keys, zip(cols, revs)))
     return LpSolution(sol.objective, dict(sol.primal), list(sol.duals_items),
                       list(sol.duals_arrivals), dict(sol.meta))
 
 
-@lru_cache(maxsize=8)
-def _fresh_solve(setup, type_counts, model, products, capacities):
-    """The solution from an empty pool and the columns it generated, which
-    are shared with every later caller's pool and so made read-only."""
-    pool = {}
+class _Pooled:
+    """A pool as a memo argument, equal to and hashed as the tuple of its
+    keys in order.  It lends the pool to the solve that misses, and drops
+    it then: the memo entry keeps the keys alone."""
+
+    __slots__ = ("keys", "pool", "_hash")
+
+    def __init__(self, pool):
+        self.keys, self.pool = tuple(pool), pool
+        self._hash = hash(self.keys)
+
+    def __eq__(self, other):
+        return self.keys == other.keys
+
+    def __hash__(self):
+        return self._hash
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _cached_solve(setup, type_counts, model, products, capacities, pooled):
+    """The solution from the pooled columns, and the keys, columns and
+    revenues of the columns the solve generated.  The columns are the rows
+    of one read-only array, which every later caller's pool shares: an
+    entry keeps a column in its 8-byte floats, not in an array of its own."""
+    pool = dict(pooled.pool)
+    pooled.pool = None
     sol = _column_generation(setup, type_counts, model, products, capacities, pool)
-    for col, _ in pool.values():
-        col.flags.writeable = False
-    return sol, tuple(pool.items())
+    keys = tuple(pool)[len(pooled.keys):]
+    cols = np.array([pool[key][0] for key in keys])
+    cols.flags.writeable = False
+    return sol, keys, cols, tuple(pool[key][1] for key in keys)
 
 
 def _check_amounts(amounts, n, name):

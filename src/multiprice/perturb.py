@@ -30,6 +30,11 @@ REL_TOL = 1e-9
 # at most m + 1 configurations
 MAX_GRID_POINTS = 10_000_000
 
+# build_perturbed keeps the last MEMO_GRIDS grids of at most MEMO_GRID_POINTS
+# points, at most about 2 MB of floats
+MEMO_GRIDS = 64
+MEMO_GRID_POINTS = 1_025
+
 
 @dataclass(frozen=True)
 class PerturbedValueFunction:
@@ -123,9 +128,21 @@ def _grid_from_borders(vf, k, tilde_borders):
 
 
 def build_perturbed(vf, k, w_seed):
-    borders = round_borders(vf, k, w_seed)
-    grid = _grid_from_borders(vf, k, borders)
-    return PerturbedValueFunction(k=k, tilde_borders=tuple(borders), grid_values=tuple(grid))
+    """The perturbed value function of the rounding round_borders makes of
+    w_seed.  A grid of at most MEMO_GRID_POINTS points is memoized on (vf, k,
+    the rounded borders), the last MEMO_GRIDS of them: a (price set, k) has
+    at most m + 1 roundings, so later runs and trials reuse each grid."""
+    borders = tuple(round_borders(vf, k, w_seed))
+    build = _perturbed if k < MEMO_GRID_POINTS else _perturbed.__wrapped__
+    return build(vf, k, borders)
+
+
+@lru_cache(maxsize=MEMO_GRIDS)
+def _perturbed(vf, k, tilde_borders):
+    """The PerturbedValueFunction of one rounding, shared by every caller:
+    it is frozen and holds tuples."""
+    grid = _grid_from_borders(vf, k, tilde_borders)
+    return PerturbedValueFunction(k=k, tilde_borders=tilde_borders, grid_values=tuple(grid))
 
 
 @dataclass(frozen=True)

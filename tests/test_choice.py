@@ -291,7 +291,7 @@ class TestSampling:
         n = 20000
         counts = {0: 0, 1: 0, None: 0}
         for _ in range(n):
-            counts[sample_choice(exact, rng)] += 1
+            counts[sample_choice(exact, rng.random())] += 1
         for p, target in list(exact.items()) + [(None, p0)]:
             emp = counts[p] / n
             assert abs(emp - target) < 3 * math.sqrt(target * (1 - target) / n) + 1e-9

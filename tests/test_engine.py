@@ -1,6 +1,7 @@
 """Online policies: correctness on tiny instances, determinism, inventory
 safety, the dual-trail certificate, and the forecasting/hybrid variants."""
 
+import functools
 import math
 import operator
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from multiprice import (
     ArrivalSequence,
     DomainError,
+    ExperimentConfig,
     MultipriceError,
     Item,
     MnlModel,
@@ -21,6 +23,7 @@ from multiprice import (
     ValidationError,
     build_value_function,
     certified_lower_bounds,
+    generate_hotel_ensemble,
     run_balance,
     run_balance_assortment,
     run_balance_fractional,
@@ -325,6 +328,88 @@ class TestBalanceOfferProperty:
             assert offer.levels[i] == list(own.grid_values[:-1]) + [np.inf]
         assert set(builds) == expected
         assert len({id(g) for g in grids}) == len(builds)
+
+
+class TestDeterministicGrid:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(prices=PRICE_LISTS, ks=st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    @example(prices=[150, 450], ks=[1, 2, 3, 100])
+    def test_grid_equals_scalar_phi(self, prices, ks):
+        # the hybrid's balance offer builds each (price set, k)'s grid with
+        # one list phi call: by float.hex the grid of k + 1 scalar calls
+        priceset = PriceSet([float(r) for r in prices])
+        setup = Setup(items=tuple(Item(k=k, priceset=priceset) for k in ks) * 2)
+        vf = build_value_function(priceset)
+        offer, grids = engine._balance_offer(setup, 0, perturbed=False)
+        for i, item in enumerate(setup.items):
+            want = [vf.phi(s / item.k) for s in range(item.k + 1)]
+            assert [x.hex() for x in grids[i]] == [x.hex() for x in want]
+            assert offer.levels[i] == want[:-1] + [np.inf]
+
+    def test_hotel_rooms(self):
+        catalog = choice.default_hotel_model()
+        for room in range(len(catalog.room_names)):
+            vf = build_value_function(catalog.room_prices(room))
+            for k in range(1, 200):
+                want = [vf.phi(s / k).hex() for s in range(k + 1)]
+                assert [x.hex() for x in vf.phi([s / k for s in range(k + 1)])] == want
+
+
+def per_draw_assortment_loop(setup, arrivals, rng_seed, offer, ledger, choose=None,
+                             offered_nothing=None):
+    """_assortment_loop as it was before the choice stream was drawn at
+    once, one Generator.random() call per draw, kept as the reference; it
+    appends each customer offered nothing to offered_nothing."""
+    rng = engine._stream(rng_seed, setup.n)
+    model, products = arrivals.model, arrivals.products
+    for t, a in enumerate(arrivals.types):
+        offer.refresh(t)
+        if choose is None:
+            pi = offer.values(products, ledger)
+            probs = offer.probs(model, a, offer.best(model, a, pi)[0])
+        else:
+            probs, pi = choose(t, a)
+        if not probs:  # the empty assortment
+            if offered_nothing is not None:
+                offered_nothing.append(t)
+            continue
+        chosen = choice.sample_choice(probs, rng.random())
+        if chosen is None:
+            continue
+        i, j = products[chosen]
+        ledger.sell(t, i, j, pi[chosen])
+        offer.advance(i)
+    return ledger
+
+
+class TestChoiceStream:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**70), n=st.integers(0, 40), T=st.integers(0, 600))
+    @example(seed=0, n=4, T=0)
+    def test_uniforms_equal_successive_draws(self, seed, n, T):
+        # Generator.random(T) gives, by float.hex, the doubles of T
+        # successive random() calls on the same stream
+        rng = engine._stream(seed, n)
+        want = [rng.random().hex() for _ in range(T)]
+        assert [u.hex() for u in engine._choice_uniforms(seed, n, T)] == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_hotel_suite_equals_per_draw_loop(self, seed):
+        # every hotel policy on a hotel day of the workload's size, where
+        # bid prices offer some customers nothing while others still buy,
+        # and those offered nothing skip their draw, as when the loop drew
+        # one uniform at a time
+        cfg = ExperimentConfig(loading_factors=(1.8,), n_days=1, mean_daily_arrivals=260.0,
+                               trials=1, base_seed=seed)
+        offered_nothing = []
+        reference = functools.partial(per_draw_assortment_loop, offered_nothing=offered_nothing)
+        for setup, arrivals in generate_hotel_ensemble(cfg, 1.8):
+            for name, fn in hotel_policies(260.0, 1.5):
+                got = fn(setup, arrivals, seed)
+                with mock.patch.object(engine, "_assortment_loop", reference):
+                    want = fn(setup, arrivals, seed)
+                assert (exact(got), canon(got.meta)) == (exact(want), canon(want.meta)), name
+        assert offered_nothing
 
 
 def row_by_row_loop(setup, arrivals, offer, ledger, on_sale=None):

@@ -10,6 +10,7 @@ from multiprice import (
     ArrivalSequence,
     DomainError,
     ExperimentConfig,
+    SolverLimitError,
     ValidationError,
     default_hotel_model,
     generate_hotel_ensemble,
@@ -20,7 +21,7 @@ from multiprice import (
     run_myopic,
     solve_choice_lp,
 )
-from multiprice import lp
+from multiprice import harness, lp
 from multiprice.engine import BOOKING_CURVE, _forecast_counts, count_types, interpolate
 from multiprice.harness import (
     CSV_SCHEMA_HEADER,
@@ -260,6 +261,23 @@ class TestIngest:
                     io.StringIO(CSV_HEADER + "1,10,1,King,low,0,0,0\n" + bad)
                 )
 
+    @pytest.mark.parametrize("row, replicate", [("1,4,1000000000,King,low,0,0,0\n", 1),
+                                                ("1,4,1,King,low,0,0,0\n", 10**12),
+                                                ("1,4,1001,King,low,0,0,0\n", 1000)])
+    def test_refuses_a_row_past_the_size_bound(self, row, replicate):
+        # refused before the row is expanded, so it returns at once
+        with pytest.raises(SolverLimitError, match="row 2"):
+            ingest_transactions(io.StringIO(CSV_HEADER + row), replicate=replicate)
+
+    def test_size_bound_counts_every_row(self, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_DAY_SIZE", 6)
+        rows = "1,4,2,King,low,0,0,0\n" + "2,4,1,Queen,low,0,0,0\n"
+        by_date = ingest_transactions(io.StringIO(CSV_HEADER + rows), replicate=2)
+        assert sum(len(a.types) for a in by_date.values()) == 6
+        with pytest.raises(SolverLimitError, match="row 4"):
+            ingest_transactions(io.StringIO(CSV_HEADER + rows + "3,9,1,King,low,0,0,0\n"),
+                                replicate=2)
+
     def test_caller_file_left_open(self):
         fh = io.StringIO(CSV_HEADER + "1,4,1,King,low,0,0,0\n")
         ingest_transactions(fh)
@@ -391,17 +409,13 @@ class TestRunExperiment:
         # is below the LP optimum; the bound adds the column-generation gap
         cfg = small_config(mean_daily_arrivals=260.0, base_seed=3)
         setup, arrivals = generate_hotel_ensemble(cfg, 1.6)[0]
-        lp._fresh_solve.cache_clear()
-        try:
-            converged = lp_bound(setup, arrivals)
-            monkeypatch.setattr(lp, "MAX_COLGEN_ROUNDS", 1)
-            lp._fresh_solve.cache_clear()
-            stopped = solve_choice_lp(setup, count_types(arrivals.model, arrivals.types),
-                                      arrivals.model, arrivals.products)
-            assert stopped.objective < converged - 1000.0
-            assert lp_bound(setup, arrivals) >= converged
-        finally:
-            lp._fresh_solve.cache_clear()
+        converged = lp_bound(setup, arrivals)
+        monkeypatch.setattr(lp, "MAX_COLGEN_ROUNDS", 1)
+        lp._cached_solve.cache_clear()  # or the stopped solve reads the converged one
+        stopped = solve_choice_lp(setup, count_types(arrivals.model, arrivals.types),
+                                  arrivals.model, arrivals.products)
+        assert stopped.objective < converged - 1000.0
+        assert lp_bound(setup, arrivals) >= converged
 
 
 class TestCsvOutput:

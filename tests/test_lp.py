@@ -799,10 +799,8 @@ class TestChoiceLp:
 
 @pytest.fixture
 def empty_memo():
-    """An empty choice-LP memo before and after the test."""
-    lp._fresh_solve.cache_clear()
-    yield lp._fresh_solve
-    lp._fresh_solve.cache_clear()
+    """The choice-LP memo, which conftest empties before every test."""
+    return lp._cached_solve
 
 
 def solution_digest(sol):
@@ -854,13 +852,56 @@ class TestChoiceLpMemo:
         info = empty_memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
-    def test_nonempty_pool_bypasses_the_memo(self, empty_memo):
+    def test_pooled_hit_fills_the_pool_like_a_miss(self, empty_memo):
+        # a re-solve from a pool is memoized on the pool's keys in order: a
+        # hit fills its pool with the columns the miss generated, shared
+        # read-only, and the next re-solve from either pool is the same
+        setup, products, model = small_choice_setting()
+        missed, hit = {}, {}
+        for pool in (missed, hit):
+            solve_choice_lp(setup, [1.0, 1.0], model, products, pool=pool)
+        first = len(missed)
+        resolves = []
+        for pool in (missed, hit):
+            before = empty_memo.cache_info()
+            resolves.append(solve_choice_lp(setup, [10.0, 2.0], model, products,
+                                            capacities=[1, 1], pool=pool))
+            after = empty_memo.cache_info()
+            resolves.append((after.hits - before.hits, after.misses - before.misses))
+        assert resolves[1::2] == [(0, 1), (1, 0)]
+        assert solution_digest(resolves[0]) == solution_digest(resolves[2])
+        assert len(missed) > first
+        assert list(hit) == list(missed)
+        for key, (col, rev) in missed.items():
+            assert np.shares_memory(hit[key][0], col) and not col.flags.writeable
+            assert hit[key][1] == rev
+        nexts = [solve_choice_lp(setup, [4.0, 4.0], model, products, capacities=[2, 0],
+                                 pool=pool) for pool in (missed, hit)]
+        assert solution_digest(nexts[0]) == solution_digest(nexts[1])
+        assert list(hit) == list(missed)
+
+    def test_pools_of_other_keys_miss(self, empty_memo):
+        # the same columns in another order, or one column fewer, are
+        # another master: each is solved
         setup, products, model = small_choice_setting()
         pool = {}
-        solve_choice_lp(setup, [4.0, 4.0], model, products, pool=pool)
-        before = empty_memo.cache_info()
-        solve_choice_lp(setup, [4.0, 4.0], model, products, pool=pool)
-        assert empty_memo.cache_info() == before
+        solve_choice_lp(setup, [10.0, 2.0], model, products, pool=pool)
+        assert len(pool) >= 2
+        reordered = dict(reversed(pool.items()))
+        shorter = dict(list(pool.items())[1:])
+        for other in (pool, reordered, shorter):
+            solve_choice_lp(setup, [4.0, 4.0], model, products, pool=dict(other))
+        info = empty_memo.cache_info()
+        assert (info.hits, info.misses) == (0, 4)
+
+    def test_memo_holds_memo_size_entries(self, empty_memo):
+        setup, products, model = small_choice_setting()
+        for cnt in range(lp.MEMO_SIZE + 1):
+            solve_choice_lp(setup, [float(cnt), 1.0], model, products)
+        info = empty_memo.cache_info()
+        assert (info.maxsize, info.currsize) == (lp.MEMO_SIZE, lp.MEMO_SIZE)
+        solve_choice_lp(setup, [0.0, 1.0], model, products)  # the oldest, dropped
+        assert empty_memo.cache_info().hits == 0
 
     def test_bad_counts_raise_every_time(self, empty_memo):
         setup, products, model = small_choice_setting()
@@ -1093,19 +1134,25 @@ def test_solve_choice_lp_bit_identical_to_reference(case):
     with mock.patch.object(lp, "optimize_assortment", oracle), \
             mock.patch.object(lp, "simplex_max", counter):
         for pooled in (False, True):
-            lp._fresh_solve.cache_clear()
+            lp._cached_solve.cache_clear()
             ref_fresh_solve.cache_clear()
             pool, ref_pool = ({}, RefColumnPool()) if pooled else (None, None)
             for counts, caps in solves_:
                 outcomes = []
+                misses = lp._cached_solve.cache_info().misses
                 for fn, p in ((solve_choice_lp, pool), (ref_solve_choice_lp, ref_pool)):
                     counter.reset_mock()
                     sol = fn(setup, counts, model, products, capacities=caps, pool=p)
                     outcomes.append(choice_outcome(sol, counter))
+                if lp._cached_solve.cache_info().misses == misses:
+                    # a hit, which the reference's memo of fresh solves need
+                    # not be: the solution alone is compared, as no master
+                    # was solved
+                    assert outcomes[0][-1] == 0
+                    outcomes = [out[:-1] for out in outcomes]
                 assert outcomes[0] == outcomes[1]
             if pooled:
                 assert list(pool) == [(a, s) for a, s, _, _ in ref_pool.cols]
-    lp._fresh_solve.cache_clear()
 
 
 @settings(max_examples=50, deadline=None)
@@ -1114,7 +1161,6 @@ def test_choice_lp_duals_are_python_floats(case):
     """The duals, fresh and pooled, are Python floats with the reference's
     values, which it read as numpy floats."""
     setup, model, products, solves_, _ = case
-    lp._fresh_solve.cache_clear()
     ref_fresh_solve.cache_clear()
     for pool, ref_pool in ((None, None), ({}, RefColumnPool())):
         for counts, caps in solves_:
@@ -1125,7 +1171,6 @@ def test_choice_lp_duals_are_python_floats(case):
                               (sol.duals_arrivals, ref.duals_arrivals)):
                 assert all(type(v) is float for v in got)
                 assert [v.hex() for v in got] == [float(v).hex() for v in want]
-    lp._fresh_solve.cache_clear()
 
 
 def restacked_column_generation(setup, type_counts, model, products, capacities, pool):
@@ -1205,12 +1250,12 @@ def test_grown_master_equals_a_restacked_one(case, min_width):
 
     counter = mock.Mock(wraps=lp.simplex_max)
     pool = {}
-    lp._fresh_solve.cache_clear()
     with mock.patch.object(lp, "optimize_assortment", oracle), \
             mock.patch.object(lp, "simplex_max", counter), \
             mock.patch.object(lp._Master, "MIN_WIDTH", min_width):
         for counts, caps in solves_:
             ref_pool = dict(pool)
+            lp._cached_solve.cache_clear()  # a hit would grow no master
             counter.reset_mock()
             sol = solve_choice_lp(setup, counts, model, products, capacities=caps, pool=pool)
             grown = choice_outcome(sol, counter)
@@ -1219,4 +1264,3 @@ def test_grown_master_equals_a_restacked_one(case, min_width):
             ref = restacked_column_generation(setup, counts, model, products, full, ref_pool)
             assert grown == choice_outcome(ref, counter)
             assert list(pool) == list(ref_pool)
-    lp._fresh_solve.cache_clear()

@@ -234,6 +234,59 @@ class TestPerturbedValues:
             assert all(a <= b + 1e-12 for a, b in zip(g, g[1:]))
 
 
+def parent_build_perturbed(vf, k, w_seed):
+    """build_perturbed as it was before its grids were memoized, kept
+    verbatim as the reference."""
+    borders = round_borders(vf, k, w_seed)
+    grid = perturb._grid_from_borders(vf, k, borders)
+    return PerturbedValueFunction(k=k, tilde_borders=tuple(borders), grid_values=tuple(grid))
+
+
+def pvf_hex(pvf):
+    return pvf.k, [b.hex() for b in pvf.tilde_borders], [v.hex() for v in pvf.grid_values]
+
+
+class TestGridMemo:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(prices=PRICE_LISTS, k=st.integers(1, 80))
+    @example(prices=[150, 450], k=5)
+    @example(prices=[1, 2, 4, 8, 16, 32], k=1)
+    def test_memoized_grid_equals_an_unmemoized_build(self, prices, k):
+        # every rounding of the (price set, k), from a seed at 0, at each
+        # fractional part and just below it, built twice, the second time
+        # read from the memo: by float.hex the unmemoized build's grid
+        perturb._perturbed.cache_clear()
+        vf = build_value_function([float(r) for r in prices])
+        fracs = [f for _, f in perturb._floor_frac(vf.borders, k) if f]
+        seeds = [0.0] + fracs + [math.nextafter(f, 0.0) for f in fracs]
+        for w in seeds:
+            want = pvf_hex(parent_build_perturbed(vf, k, w))
+            first = build_perturbed(vf, k, w)
+            assert pvf_hex(first) == want
+            assert build_perturbed(vf, k, w) is first
+        roundings = {tuple(round_borders(vf, k, w)) for w in seeds}
+        info = perturb._perturbed.cache_info()
+        assert info.misses == len(roundings) <= vf.m + 1
+        assert info.hits == 2 * len(seeds) - len(roundings)
+
+    def test_support_reuses_the_grids(self):
+        vf = build_value_function([1.0, 2.0, 5.0])
+        first = enumerate_seed_support(vf, 9)
+        again = enumerate_seed_support(vf, 9)
+        assert [pvf for _, pvf in again.configurations] == \
+            [pvf for _, pvf in first.configurations]
+        assert all(a is b for (_, a), (_, b) in zip(first.configurations,
+                                                    again.configurations))
+
+    def test_large_grids_are_not_kept(self):
+        vf = build_value_function([1.0, 3.0])
+        k = perturb.MEMO_GRID_POINTS
+        assert pvf_hex(build_perturbed(vf, k, 0.3)) == pvf_hex(parent_build_perturbed(vf, k, 0.3))
+        assert perturb._perturbed.cache_info().currsize == 0
+        build_perturbed(vf, k - 1, 0.3)
+        assert perturb._perturbed.cache_info().currsize == 1
+
+
 class TestSingleUnit:
     def test_structure(self):
         proc = single_unit_procedure(build_value_function([250.0, 750.0]))
